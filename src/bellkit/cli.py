@@ -262,7 +262,14 @@ def cmd_lhvt(args) -> int:
             angles = [math.degrees(a) for a in experiments.CHSH_PHOTON_SETTINGS]
         if len(angles) != 4:
             raise UsageError("--angles needs exactly four degrees values")
-        classical = lhvt.chsh_classical(*angles)
+        if args.mc_trials < 0:
+            raise UsageError("--mc-trials must be non-negative")
+        if args.mc_trials > lhvt.MAX_MC_TRIALS:
+            raise UsageError(f"--mc-trials must be at most {lhvt.MAX_MC_TRIALS}")
+        try:
+            classical = lhvt.chsh_classical(*angles)
+        except ValueError as exc:
+            raise UsageError(f"--angles: {exc}") from exc
         rads = [math.radians(a) for a in angles]
         corr = experiments.chsh_correlations(*rads)
         gamma = experiments.chsh_quantum(*rads)
@@ -275,8 +282,6 @@ def cmd_lhvt(args) -> int:
         print(f"quantum combination = {_fmt(gamma)}")
         verdict = VIOLATION if abs(gamma) > 2.0 + VERDICT_MARGIN else CONSISTENT
         print(f"verdict: {verdict}")
-        if args.mc_trials < 0:
-            raise UsageError("--mc-trials must be non-negative")
         if args.mc_trials:
             spec = classical.scenario
             n = len(classical.gammas)
@@ -285,12 +290,17 @@ def cmd_lhvt(args) -> int:
             for run, count, mean, se, exact in zip(
                 est.runs, est.counts, est.means, est.std_errors, est.exact
             ):
-                print(
-                    f"  run {run[0]:g}/{run[1]:g} deg: mean {_fmt(mean)} "
-                    f"(se {_fmt(se)}, n={count}), exact {_fmt(exact)}"
+                sampled = (
+                    f"mean {_fmt(mean)} (se {_fmt(se)}, n={count})"
+                    if count > 1
+                    else f"too few samples for a mean and error (n={count})"
                 )
-            m, se = est.chsh_combination()
-            print(f"  combination estimate {_fmt(m)} +/- {_fmt(se)}")
+                print(f"  run {run[0]:g}/{run[1]:g} deg: {sampled}, exact {_fmt(exact)}")
+            if min(est.counts) > 1:
+                m, se = est.chsh_combination()
+                print(f"  combination estimate {_fmt(m)} +/- {_fmt(se)}")
+            else:
+                print("  combination estimate unavailable: every run needs at least 2 samples")
     else:  # pragma: no cover - argparse choices guard this
         raise UsageError(f"unknown scenario {name!r}")
     return 0
@@ -485,7 +495,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=float, nargs=4, default=None,
                    help="chsh analyzer angles in degrees (theta1 theta1' theta2 theta2')")
     p.add_argument("--mc-trials", type=int, default=0,
-                   help="chsh only: sample a uniform strategy mixture this many times")
+                   help="chsh only: sample a uniform strategy mixture this many times "
+                        f"(at most {lhvt.MAX_MC_TRIALS})")
     p.add_argument("--seed", type=int, default=None,
                    help="Monte-Carlo seed (default: BELLKIT_SEED or 0)")
     p.set_defaults(func=cmd_lhvt)

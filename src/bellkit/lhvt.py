@@ -6,14 +6,27 @@ Setting angles in this module are plain degree labels on instruction cards, so
 grid arithmetic (the 90-degree flip rule, 120-degree spacings) stays exact;
 they are converted to radians only when a quantum distribution is consulted.
 Outcomes are +1 (pass / spin-up) and -1 (stop / spin-down).
+
+A scenario's strategy space is decoded once into a +/-1 int8 card array: one
+row per strategy, one column per (party, setting), party-major and
+setting-minor.  Row i reads the integer i as the scenario's free outcomes,
+most significant bit first, a 0 bit meaning +1, so rows come in lexicographic
+order with +1 before -1.  Columns fixed by the 90-degree flip rule or by
+identical/opposite cards are signed copies of free columns.  The +/-1
+invariant is checked once per card array, not once per strategy.  Mixtures
+and samples gather run columns from the array; StrategyTable objects are built
+only for callers that score strategies one at a time.  At most
+MAX_STRATEGIES = 2**16 strategies are enumerated; larger spaces are refused
+before any array is allocated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import getitem
 
 import numpy as np
 
@@ -21,8 +34,15 @@ from . import experiments
 
 PASS, STOP = 1, -1
 
-# Hard ceiling on exhaustive enumeration; every scenario here is far smaller.
-MAX_STRATEGIES = 2**24
+# Hard ceiling on exhaustive enumeration, checked before anything is allocated.
+# Two parties with eight settings each (2^16 strategies), scored by agreement
+# over all 64 runs, take about 2.4 s of CPU time to enumerate, extremize, mix
+# and sample (2-CPU Intel Xeon, Python 3.11, numpy 2.4); 2^18 takes about 10 s.
+MAX_STRATEGIES = 2**16
+
+# Hard ceiling on Monte-Carlo trials: the sampler holds a few arrays of this
+# length, so memory stays bounded whatever the caller asks for.
+MAX_MC_TRIALS = 1_000_000
 
 # A quantum probability at or below this is treated as an exact zero constraint.
 ZERO_TOL = 1e-12
@@ -36,7 +56,8 @@ class ScenarioSpec:
     joint settings that the figure of merit averages over.  identical shares one
     card among all parties, opposite gives party 2 the arrow-flipped card of
     party 1, and flip_90 links each angle to its partner 90 degrees away with
-    the opposite outcome.
+    the opposite outcome.  Each party's settings must be distinct.
+    run_index holds each run's per-party setting indices.
     """
 
     name: str
@@ -46,6 +67,8 @@ class ScenarioSpec:
     identical: bool = False
     opposite: bool = False
     flip_90: bool = False
+    run_index: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _index: tuple[dict[float, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parties < 1 or len(self.settings) != self.parties:
@@ -56,15 +79,24 @@ class ScenarioSpec:
             raise ValueError("shared-card scenarios need identical setting lists")
         if self.opposite and self.parties != 2:
             raise ValueError("opposite cards are defined for two parties")
+        index = tuple({angle: k for k, angle in enumerate(s)} for s in self.settings)
+        for p, angles in enumerate(self.settings):
+            if len(index[p]) != len(angles):
+                raise ValueError(f"party {p + 1} settings {angles} repeat an angle")
+        object.__setattr__(self, "_index", index)
         for run in self.runs:
             if len(run) != self.parties:
                 raise ValueError(f"run {run} does not name one angle per party")
-            for p, angle in enumerate(run):
-                if angle not in self.settings[p]:
-                    raise ValueError(f"run angle {angle} not among party {p + 1} settings")
+        run_index = tuple(
+            tuple(self.setting_index(p, angle) for p, angle in enumerate(run)) for run in self.runs
+        )
+        object.__setattr__(self, "run_index", run_index)
 
     def setting_index(self, party: int, angle: float) -> int:
-        return self.settings[party].index(angle)
+        try:
+            return self._index[party][angle]
+        except KeyError:
+            raise ValueError(f"run angle {angle} not among party {party + 1} settings") from None
 
 
 @dataclass(frozen=True)
@@ -79,6 +111,13 @@ class StrategyTable:
             for value in row:
                 if value not in (PASS, STOP):
                     raise ValueError(f"outcome {value!r} is not +1 or -1")
+
+    @classmethod
+    def _unchecked(cls, outcomes: tuple[tuple[int, ...], ...]) -> StrategyTable:
+        """A table from outcomes the caller has already checked."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "outcomes", outcomes)
+        return table
 
     def outcome(self, party: int, setting_index: int) -> int:
         return self.outcomes[party][setting_index]
@@ -117,37 +156,51 @@ def _flip_plan(angles: tuple[float, ...]):
     return plan, len(reps)
 
 
+def _card_columns(spec: ScenarioSpec) -> tuple[list[int], list[int], int]:
+    """For every (party, setting) column, the free outcome slot it copies and
+    the sign it copies it with; plus the number of free slots."""
+    shared = spec.identical or spec.opposite
+    slots, signs, free = [], [], 0
+    for p, angles in enumerate(spec.settings):
+        if spec.flip_90:
+            plan, nfree = _flip_plan(angles)
+        else:
+            plan, nfree = [(k, 1) for k in range(len(angles))], len(angles)
+        base = 0 if shared else free
+        flip = -1 if (spec.opposite and p > 0) else 1
+        slots += [base + slot for slot, _ in plan]
+        signs += [flip * sign for _, sign in plan]
+        free = nfree if shared else free + nfree
+    return slots, signs, free
+
+
+def _cards(spec: ScenarioSpec) -> np.ndarray:
+    """Every strategy as a +/-1 int8 row, in enumeration order (see the module
+    docstring); shape (strategies, total settings)."""
+    slots, signs, free = _card_columns(spec)
+    if 2**free > MAX_STRATEGIES:
+        raise ValueError(f"2^{free} strategies exceed the enumeration ceiling")
+    index = np.arange(2**free, dtype=np.min_scalar_type(2**free - 1))
+    shifts = np.arange(free - 1, -1, -1, dtype=np.uint8)
+    free_cards = 1 - 2 * ((index[:, None] >> shifts) & 1).astype(np.int8)
+    cards = free_cards[:, slots] * np.array(signs, dtype=np.int8)
+    if not np.all(np.abs(cards) == 1):
+        raise RuntimeError("decoded card array holds an outcome other than +1 or -1")
+    return cards
+
+
+def _column_offsets(spec: ScenarioSpec) -> list[int]:
+    """Index of each party's first column in the card array."""
+    return list(accumulate((len(s) for s in spec.settings[:-1]), initial=0))
+
+
 def enumerate_strategies(spec: ScenarioSpec) -> list[StrategyTable]:
     """All strategies consistent with the scenario's constraints, in a fixed
     lexicographic order (party-major, setting-minor, +1 before -1)."""
-    plans, free_counts = [], []
-    for p in range(spec.parties):
-        if spec.flip_90:
-            plan, nfree = _flip_plan(spec.settings[p])
-        else:
-            plan, nfree = [(k, 1) for k in range(len(spec.settings[p]))], len(spec.settings[p])
-        plans.append(plan)
-        free_counts.append(nfree)
-
-    shared = spec.identical or spec.opposite
-    free_parties = 1 if shared else spec.parties
-    total_free = sum(free_counts[:free_parties])
-    if 2**total_free > MAX_STRATEGIES:
-        raise ValueError(f"2^{total_free} strategies exceed the enumeration ceiling")
-
-    tables = []
-    for bits in itertools.product((PASS, STOP), repeat=total_free):
-        free_rows, offset = [], 0
-        for p in range(free_parties):
-            free_rows.append(bits[offset : offset + free_counts[p]])
-            offset += free_counts[p]
-        rows = []
-        for p in range(spec.parties):
-            src = free_rows[0] if shared else free_rows[p]
-            flip = -1 if (spec.opposite and p > 0) else 1
-            rows.append(tuple(flip * sign * src[slot] for slot, sign in plans[p]))
-        tables.append(StrategyTable(tuple(rows)))
-    return tables
+    cards = _cards(spec)
+    bounds = _column_offsets(spec) + [cards.shape[1]]
+    rows = zip(*(map(tuple, cards[:, lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])))
+    return [StrategyTable._unchecked(outcomes) for outcomes in rows]
 
 
 def run_outcomes(spec: ScenarioSpec, table: StrategyTable, run) -> tuple[int, ...]:
@@ -157,15 +210,20 @@ def run_outcomes(spec: ScenarioSpec, table: StrategyTable, run) -> tuple[int, ..
     )
 
 
+def _agreements(spec: ScenarioSpec, table: StrategyTable) -> int:
+    """Number of the scenario's runs on which all parties answer alike."""
+    rows = table.outcomes
+    return sum(1 for run in spec.run_index if len(set(map(getitem, rows, run))) == 1)
+
+
 def agreement_fraction(spec: ScenarioSpec, table: StrategyTable) -> Fraction:
     """Fraction of the scenario's runs on which all parties answer alike."""
-    hits = sum(1 for run in spec.runs if len(set(run_outcomes(spec, table, run))) == 1)
-    return Fraction(hits, len(spec.runs))
+    return Fraction(_agreements(spec, table), len(spec.runs))
 
 
 def antiparallel_fraction(spec: ScenarioSpec, table: StrategyTable) -> Fraction:
     """Two-party fraction of runs with opposite answers."""
-    return 1 - agreement_fraction(spec, table)
+    return Fraction(len(spec.runs) - _agreements(spec, table), len(spec.runs))
 
 
 # --- canonical scenarios ----------------------------------------------------
@@ -393,18 +451,16 @@ def chsh_classical(
 
 def exact_mixture_correlations(spec: ScenarioSpec, weights) -> np.ndarray:
     """Per-run expected outcome product under a mixture of strategies."""
-    tables = enumerate_strategies(spec)
-    w = _checked_weights(weights, len(tables))
-    products = _product_matrix(spec, tables)
-    return w @ products
+    products = _product_matrix(spec)
+    return _checked_weights(weights, len(products)) @ products
 
 
 def exact_marginal_mean(spec: ScenarioSpec, weights, party: int, angle: float) -> float:
     """One party's expected outcome at one setting under a mixture."""
-    tables = enumerate_strategies(spec)
-    w = _checked_weights(weights, len(tables))
-    k = spec.setting_index(party, angle)
-    return float(sum(wi * t.outcome(party, k) for wi, t in zip(w, tables)))
+    cards = _cards(spec)
+    w = _checked_weights(weights, len(cards))
+    column = _column_offsets(spec)[party] + spec.setting_index(party, angle)
+    return float(w @ cards[:, column])
 
 
 def _checked_weights(weights, n: int) -> np.ndarray:
@@ -419,11 +475,14 @@ def _checked_weights(weights, n: int) -> np.ndarray:
     return w / total
 
 
-def _product_matrix(spec, tables) -> np.ndarray:
-    rows = []
-    for t in tables:
-        rows.append([math.prod(run_outcomes(spec, t, run)) for run in spec.runs])
-    return np.array(rows, dtype=float)
+def _product_matrix(spec: ScenarioSpec) -> np.ndarray:
+    """Outcome product of every strategy on every run, shape (strategies, runs)."""
+    cards = _cards(spec)
+    columns = np.array(spec.run_index, dtype=np.intp).reshape(len(spec.runs), spec.parties)
+    columns += _column_offsets(spec)
+    # C order, as a matrix built row by row: the mixture matmul then sums in
+    # the same order and gives the same bits.
+    return np.prod(cards[:, columns], axis=2, dtype=np.int8).astype(float, order="C")
 
 
 @dataclass(frozen=True)
@@ -451,14 +510,13 @@ def monte_carlo_mixture(
     """Simulate runs of a weighted strategy mixture with uniformly random
     setting choices; exact enumeration stays the source of truth, this is the
     finite-statistics view of it."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    tables = enumerate_strategies(spec)
-    w = _checked_weights(weights, len(tables))
-    products = _product_matrix(spec, tables)
+    if not 1 <= trials <= MAX_MC_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_MC_TRIALS}; got {trials}")
+    products = _product_matrix(spec)
+    w = _checked_weights(weights, len(products))
 
     rng = np.random.default_rng(rng_seed)
-    strat = rng.choice(len(tables), size=trials, p=w)
+    strat = rng.choice(len(products), size=trials, p=w)
     run_idx = rng.integers(0, len(spec.runs), size=trials)
     values = products[strat, run_idx]
 

@@ -136,10 +136,17 @@ def test_lhvt_chsh_default_angles(capsys):
 
 
 def test_lhvt_chsh_custom_angles_consistent(capsys):
-    assert run_cli("lhvt", "--scenario", "chsh", "--angles", "0", "0", "0", "0") == 0
+    assert run_cli("lhvt", "--scenario", "chsh", "--angles", "0", "90", "0", "180") == 0
     out = capsys.readouterr().out
     assert "quantum combination = 2.000000" in out
     assert "verdict: consistent" in out
+
+
+def test_lhvt_chsh_repeated_angles_exit_1(capsys):
+    assert run_cli("lhvt", "--scenario", "chsh", "--angles", "0", "0", "0", "0") == 1
+    captured = capsys.readouterr()
+    assert "repeat an angle" in captured.err
+    assert captured.out == ""
 
 
 def test_lhvt_chsh_monte_carlo_seeded(capsys):
@@ -164,6 +171,23 @@ def test_lhvt_chsh_seed_env(monkeypatch, capsys):
 def test_lhvt_chsh_negative_trials(capsys):
     assert run_cli("lhvt", "--scenario", "chsh", "--mc-trials", "-3") == 1
     assert "--mc-trials must be non-negative" in capsys.readouterr().err
+
+
+def test_lhvt_chsh_trials_over_ceiling(capsys):
+    too_many = str(lhvt.MAX_MC_TRIALS + 1)
+    assert run_cli("lhvt", "--scenario", "chsh", "--mc-trials", too_many) == 1
+    captured = capsys.readouterr()
+    assert f"--mc-trials must be at most {lhvt.MAX_MC_TRIALS}" in captured.err
+    assert captured.out == ""
+    assert run_cli("lhvt", "--scenario", "chsh", "--mc-trials", "100000000000000") == 1
+
+
+def test_lhvt_chsh_too_few_samples_named_not_nan(capsys):
+    assert run_cli("lhvt", "--scenario", "chsh", "--mc-trials", "3", "--seed", "1") == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert "too few samples for a mean and error (n=0)" in out
+    assert "combination estimate unavailable" in out
 
 
 def test_report_requires_all_flag(capsys):

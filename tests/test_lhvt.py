@@ -54,6 +54,8 @@ def test_scenario_validation():
         lhvt.ScenarioSpec("bad", 3, ((0.0,),) * 3, (), opposite=True)
     with pytest.raises(ValueError):
         lhvt.ScenarioSpec("bad", 2, ((0.0,), (0.0,)), ((0.0, 5.0),))
+    with pytest.raises(ValueError, match="repeat an angle"):
+        lhvt.ScenarioSpec("bad", 2, ((0.0, 0.0), (0.0, 45.0)), ())
     with pytest.raises(ValueError):
         lhvt.StrategyTable(((0,),))
 
@@ -63,6 +65,23 @@ def test_enumeration_ceiling():
     spec = lhvt.ScenarioSpec("wide", 1, (wide,), ((0.0,),))
     with pytest.raises(ValueError):
         lhvt.enumerate_strategies(spec)
+
+
+def test_ceiling_checked_before_any_array(monkeypatch):
+    eight = tuple(float(k) for k in range(8))
+    at_ceiling = lhvt.ScenarioSpec("at", 2, (eight, eight), ((0.0, 0.0),))
+    assert lhvt._cards(at_ceiling).shape == (lhvt.MAX_STRATEGIES, 16)
+    nine = eight + (8.0,)
+    one_bit_over = lhvt.ScenarioSpec("over", 2, (eight, nine), ((0.0, 0.0),))
+    monkeypatch.setattr(lhvt, "np", None)  # any array allocation now fails otherwise
+    for call in (
+        lambda: lhvt.enumerate_strategies(one_bit_over),
+        lambda: lhvt.exact_mixture_correlations(one_bit_over, [1.0]),
+        lambda: lhvt.exact_marginal_mean(one_bit_over, [1.0], 0, 0.0),
+        lambda: lhvt.monte_carlo_mixture(one_bit_over, [1.0], 10, 0),
+    ):
+        with pytest.raises(ValueError, match="2\\^17 strategies exceed"):
+            call()
 
 
 def test_grid30_bound():
@@ -255,6 +274,8 @@ def test_monte_carlo_validation():
     spec = lhvt.chsh_scenario(45.0, 90.0, 67.5, 22.5)
     with pytest.raises(ValueError):
         lhvt.monte_carlo_mixture(spec, np.full(16, 1 / 16), trials=0, rng_seed=1)
+    with pytest.raises(ValueError):
+        lhvt.monte_carlo_mixture(spec, np.full(16, 1 / 16), lhvt.MAX_MC_TRIALS + 1, rng_seed=1)
     three = lhvt.MixtureEstimate(
         ((0.0, 0.0),), (1,), (1.0,), (0.0,), (1.0,)
     )

@@ -1,0 +1,178 @@
+"""The array strategy engine in bellkit.lhvt against the plain loop enumerator
+it replaced, kept here as the reference."""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from bellkit import lhvt
+from bellkit.lhvt import PASS, STOP, StrategyTable
+
+SEED = 20261018
+
+
+# --- reference: the loop enumerator ------------------------------------------
+
+
+def reference_strategies(spec: lhvt.ScenarioSpec) -> list[StrategyTable]:
+    """All strategies by itertools.product over the free outcomes, in the
+    documented order (party-major, setting-minor, +1 before -1)."""
+    plans, free_counts = [], []
+    for p in range(spec.parties):
+        if spec.flip_90:
+            plan, nfree = lhvt._flip_plan(spec.settings[p])
+        else:
+            plan, nfree = [(k, 1) for k in range(len(spec.settings[p]))], len(spec.settings[p])
+        plans.append(plan)
+        free_counts.append(nfree)
+
+    shared = spec.identical or spec.opposite
+    free_parties = 1 if shared else spec.parties
+    total_free = sum(free_counts[:free_parties])
+
+    tables = []
+    for bits in itertools.product((PASS, STOP), repeat=total_free):
+        free_rows, offset = [], 0
+        for p in range(free_parties):
+            free_rows.append(bits[offset : offset + free_counts[p]])
+            offset += free_counts[p]
+        rows = []
+        for p in range(spec.parties):
+            src = free_rows[0] if shared else free_rows[p]
+            flip = -1 if (spec.opposite and p > 0) else 1
+            rows.append(tuple(flip * sign * src[slot] for slot, sign in plans[p]))
+        tables.append(StrategyTable(tuple(rows)))
+    return tables
+
+
+def reference_run_outcomes(spec, table, run) -> tuple[int, ...]:
+    return tuple(table.outcomes[p][spec.settings[p].index(a)] for p, a in enumerate(run))
+
+
+def reference_agreement(spec, table) -> Fraction:
+    hits = sum(1 for run in spec.runs if len(set(reference_run_outcomes(spec, table, run))) == 1)
+    return Fraction(hits, len(spec.runs))
+
+
+def reference_products(spec, tables) -> np.ndarray:
+    return np.array(
+        [[math.prod(reference_run_outcomes(spec, t, run)) for run in spec.runs] for t in tables],
+        dtype=float,
+    )
+
+
+def reference_extremize(tables, scores, direction):
+    best = max(scores) if direction == "max" else min(scores)
+    return best, tuple(t for t, s in zip(tables, scores) if s == best)
+
+
+def reference_monte_carlo(spec, tables, w, trials, rng_seed) -> lhvt.MixtureEstimate:
+    products = reference_products(spec, tables)
+    rng = np.random.default_rng(rng_seed)
+    strat = rng.choice(len(tables), size=trials, p=w)
+    run_idx = rng.integers(0, len(spec.runs), size=trials)
+    values = products[strat, run_idx]
+    counts, means, errors = [], [], []
+    for r in range(len(spec.runs)):
+        sel = values[run_idx == r]
+        n = int(sel.size)
+        counts.append(n)
+        if n == 0:
+            means.append(math.nan)
+            errors.append(math.nan)
+        else:
+            means.append(float(sel.mean()))
+            errors.append(float(sel.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan)
+    exact = w @ products
+    return lhvt.MixtureEstimate(
+        spec.runs, tuple(counts), tuple(means), tuple(errors), tuple(float(x) for x in exact)
+    )
+
+
+# --- seeded random scenarios -----------------------------------------------------
+
+
+def random_spec(r: random.Random, max_free: int = 12) -> lhvt.ScenarioSpec:
+    """1-3 parties with 2-6 distinct settings each, any constraint the parties
+    allow, and a few runs drawn from the joint grid."""
+    while True:
+        parties = r.randint(1, 3)
+        shared = r.choice(("none", "identical", "opposite") if parties == 2 else ("none", "identical"))
+        flip_90 = r.random() < 0.4
+        step = 15 if flip_90 else 1
+
+        def angles():
+            return tuple(float(step * a) for a in sorted(r.sample(range(360 // step), r.randint(2, 6))))
+
+        if shared == "none":
+            settings = tuple(angles() for _ in range(parties))
+        else:
+            settings = (angles(),) * parties
+        grid = list(itertools.product(*settings))
+        runs = tuple(r.sample(grid, r.randint(1, min(8, len(grid)))))
+        spec = lhvt.ScenarioSpec(
+            "random", parties, settings, runs,
+            identical=shared == "identical", opposite=shared == "opposite", flip_90=flip_90,
+        )
+        if lhvt._card_columns(spec)[2] <= max_free:
+            return spec
+
+
+SPECS = [random_spec(random.Random(SEED + i)) for i in range(60)]
+
+
+def test_random_specs_cover_every_constraint():
+    assert {s.parties for s in SPECS} == {1, 2, 3}
+    assert any(s.flip_90 for s in SPECS)
+    assert any(s.identical for s in SPECS) and any(s.opposite for s in SPECS)
+    assert {len(a) for s in SPECS for a in s.settings} == {2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("index", range(len(SPECS)))
+def test_engine_matches_loop_enumerator(index):
+    spec = SPECS[index]
+    r = random.Random(SEED + index)
+    tables = reference_strategies(spec)
+    assert lhvt.enumerate_strategies(spec) == tables
+
+    products = reference_products(spec, tables)
+    engine_products = lhvt._product_matrix(spec)
+    assert engine_products.dtype == products.dtype
+    assert np.array_equal(engine_products, products)
+
+    scores = [reference_agreement(spec, t) for t in tables]
+    for direction in ("max", "min"):
+        best, optimizers = reference_extremize(tables, scores, direction)
+        bound = lhvt._extremize(spec, lambda t: lhvt.agreement_fraction(spec, t), direction)
+        assert isinstance(bound.value, Fraction) and bound.value == best
+        assert bound.optimizers == optimizers
+    if spec.parties == 2:
+        anti = [1 - s for s in scores]
+        bound = lhvt._extremize(spec, lambda t: lhvt.antiparallel_fraction(spec, t), "min")
+        assert (bound.value, bound.optimizers) == reference_extremize(tables, anti, "min")
+
+    w = np.random.default_rng(SEED + index).dirichlet(np.ones(len(tables)))
+    normalized = w / w.sum()
+    assert np.array_equal(lhvt.exact_mixture_correlations(spec, w), normalized @ products)
+    party = r.randrange(spec.parties)
+    angle = r.choice(spec.settings[party])
+    k = spec.settings[party].index(angle)
+    marginal = sum(wi * t.outcomes[party][k] for wi, t in zip(normalized, tables))
+    assert lhvt.exact_marginal_mean(spec, w, party, angle) == pytest.approx(marginal, abs=1e-12)
+
+    trials, seed = r.choice((3, 50, 400)), r.randrange(2**31)
+    expected = reference_monte_carlo(spec, tables, normalized, trials, seed)
+    assert repr(lhvt.monte_carlo_mixture(spec, w, trials, seed)) == repr(expected)
+
+
+def test_engine_run_outcomes_match_reference():
+    for spec in SPECS[:10]:
+        for t in lhvt.enumerate_strategies(spec):
+            for run in spec.runs:
+                assert lhvt.run_outcomes(spec, t, run) == reference_run_outcomes(spec, t, run)
