@@ -44,6 +44,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
@@ -66,10 +77,9 @@ def card_string(table: lhvt.StrategyTable) -> str:
 
 def cmd_pair(args) -> int:
     if args.sweep:
-        print("delta_deg,correlation")
-        for d in range(181):
-            e = experiments.pair_correlation(math.radians(d), 0.0)
-            print(f"{d},{e!r}")
+        deltas = range(181)
+        corr = experiments.pair_correlations([math.radians(d) for d in deltas], [0.0] * 181)
+        print("\n".join(["delta_deg,correlation"] + [f"{d},{e!r}" for d, e in zip(deltas, corr)]))
         return 0
     dist = experiments.entangled_pair_distribution(
         math.radians(args.theta1), math.radians(args.theta2)
@@ -456,9 +466,9 @@ def _report_table(rows: list[RunReport]) -> str:
 
 
 def cmd_report(args) -> int:
-    rows = build_report()
     if not args.all:
         raise UsageError("report currently renders all scenarios; pass --all")
+    rows = build_report()
     if args.format == "json":
         payload = {"tool": "bellkit", "scenarios": {r.scenario: r.as_dict() for r in rows}}
         text = json.dumps(payload, sort_keys=True, indent=2)
@@ -483,8 +493,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pair", help="two-photon joint outcome table or correlation sweep")
-    p.add_argument("--theta1", type=float, default=0.0, help="analyzer 1 angle, degrees")
-    p.add_argument("--theta2", type=float, default=0.0, help="analyzer 2 angle, degrees")
+    p.add_argument("--theta1", type=_finite_float, default=0.0, help="analyzer 1 angle, degrees")
+    p.add_argument("--theta2", type=_finite_float, default=0.0, help="analyzer 2 angle, degrees")
     p.add_argument("--sweep", action="store_true",
                    help="print delta_deg,correlation CSV for delta = 0..180")
     p.set_defaults(func=cmd_pair)
@@ -492,7 +502,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lhvt", help="enumerate instruction-set strategies for a scenario")
     p.add_argument("--scenario", required=True,
                    choices=["grid30", "grid120", "electron", "hardy", "ghz", "chsh"])
-    p.add_argument("--angles", type=float, nargs=4, default=None,
+    p.add_argument("--angles", type=_finite_float, nargs=4, default=None,
                    help="chsh analyzer angles in degrees (theta1 theta1' theta2 theta2')")
     p.add_argument("--mc-trials", type=int, default=0,
                    help="chsh only: sample a uniform strategy mixture this many times "
@@ -502,17 +512,17 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lhvt)
 
     p = sub.add_parser("poincare", help="Stokes/ellipse/Bloch view of one polarization state")
-    p.add_argument("--alpha-x", type=float, required=True)
-    p.add_argument("--phi-x", type=float, default=0.0, help="degrees")
-    p.add_argument("--alpha-y", type=float, required=True)
-    p.add_argument("--phi-y", type=float, default=0.0, help="degrees")
+    p.add_argument("--alpha-x", type=_finite_float, required=True)
+    p.add_argument("--phi-x", type=_finite_float, default=0.0, help="degrees")
+    p.add_argument("--alpha-y", type=_finite_float, required=True)
+    p.add_argument("--phi-y", type=_finite_float, default=0.0, help="degrees")
     p.set_defaults(func=cmd_poincare)
 
     p = sub.add_parser("rotate", help="spin-1/2 or spin-1 rotation matrix and state action")
     p.add_argument("--spin", choices=["half", "one"], required=True)
-    p.add_argument("--euler", type=float, nargs=3, required=True,
+    p.add_argument("--euler", type=_finite_float, nargs=3, required=True,
                    metavar=("THETA", "PHI", "CHI"), help="degrees")
-    p.add_argument("--state", type=float, nargs="+", default=None,
+    p.add_argument("--state", type=_finite_float, nargs="+", default=None,
                    help="state amplitudes as re im pairs")
     p.add_argument("--check", action="store_true",
                    help="verify unitarity, generators, and the spin-1 pair construction")

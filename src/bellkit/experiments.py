@@ -3,16 +3,41 @@ two-electron singlet experiments, each computed by rotating the shared state
 into the analyzer bases (never by substituting a closed-form answer).
 
 Angles are radians.  Outcomes carry +1 for pass / spin-up and -1 otherwise.
+
+The shared states (and the photon basis they are built from) are constants:
+each is built and validated once, on first use, and the same frozen
+``StateVector`` is returned to every caller after that.
+
+Every distribution goes through one batched readout core, ``_born_rows``.
+It takes a state and one sequence of basis-rotation angles per party, builds
+the stacked 2x2 rotations, forms their Kronecker products by broadcasting,
+applies them to the state in one stacked matmul and reads the Born
+probabilities off in outcome order.  A photon analyzer at theta re-expresses
+the amplitudes in a linear basis rotated through theta; a Stern-Gerlach axis
+tilted through theta in the zx-plane is the same 2x2 rotation through theta/2
+(the SU(2) Euler rotation with phi = chi = 0).  The scalar ``*_distribution``
+functions are thin wrappers around it, ``chsh_correlations`` makes one call for
+its four runs and ``pair_correlations`` one call for a whole sweep.
+
+Validation happens at the edges: every angle is checked for finiteness once,
+where it enters a public function (``ValueError``), and each rotated batch
+gets one vectorized norm check, which raises ``RuntimeError`` because with
+finite angles a failure is an internal fault.  No intermediate operator or
+state object is built or re-validated.  ``OutcomeDistribution`` still
+validates what outside callers construct.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import spin, tensor
-from .tensor import MatrixOperator, StateVector, apply, kron, kron_op, normalized
+from .tensor import StateVector, kron, normalized
 
 PHOTON_OUTCOMES = ("pass", "stop")
 ELECTRON_OUTCOMES = ("↑", "↓")
@@ -55,10 +80,10 @@ class OutcomeDistribution:
     def __post_init__(self):
         total = 0.0
         for labels, p in self.outcomes:
-            if p < 0.0:
-                raise ValueError(f"negative probability {p!r} for {labels}")
+            if not p >= 0.0:
+                raise ValueError(f"negative or undefined probability {p!r} for {labels}")
             total += p
-        if abs(total - 1.0) > tensor.TOL_NORM:
+        if not abs(total - 1.0) <= tensor.TOL_NORM:
             raise ValueError(f"probabilities sum to {total!r}")
 
     def probability_of(self, *labels: str) -> float:
@@ -88,61 +113,87 @@ class OutcomeDistribution:
         return total
 
 
-def linear_basis_rotation(theta: float) -> MatrixOperator:
-    """Amplitude re-expression into a linear basis rotated through theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    return MatrixOperator([[c, s], [-s, c]])
+# --- edge checks and the batched readout core ---------------------------------
 
 
-def _distribution(state, settings, plus_indices, outcome_labels) -> OutcomeDistribution:
-    """Read joint probabilities off a rotated state.
+def _check_finite(*angles: float) -> None:
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise ValueError(f"analyzer angles must be finite; got {angle!r}")
 
-    plus_indices[p] is the local basis index (0 or 1) that party p reports as
-    the +1 outcome; the other index is the -1 outcome.
+
+def _rotations(thetas) -> np.ndarray:
+    """Stacked [[cos, sin], [-sin, cos]]: amplitudes re-expressed in a basis
+    rotated through each theta.  Shape (len(thetas), 2, 2)."""
+    entries = [(c, s, -s, c) for c, s in ((math.cos(t), math.sin(t)) for t in thetas)]
+    return np.array(entries, dtype=complex).reshape(-1, 2, 2)
+
+
+def _born_rows(state: StateVector, angles, plus: tuple[int, ...]) -> list[list[float]]:
+    """Joint probabilities for a batch of runs, one row per run.
+
+    angles[p][k] is party p's basis-rotation angle in run k.  Row k lists the
+    probabilities of the joint outcomes in itertools.product order over
+    (+1, -1) per party; plus[p] is the local basis index (0 or 1) that party p
+    reports as +1.
     """
-    n = len(plus_indices)
-    rows = []
-    for choice in itertools.product((0, 1), repeat=n):
-        index = 0
-        for p, c in enumerate(choice):
-            local = plus_indices[p] if c == 0 else 1 - plus_indices[p]
-            index = 2 * index + local
-        labels = tuple(outcome_labels[c] for c in choice)
-        rows.append((labels, tensor.probability(state, index)))
-    return OutcomeDistribution(tuple(settings), tuple(rows))
+    op = _rotations(angles[0])
+    for thetas in angles[1:]:
+        r = _rotations(thetas)
+        n, d = op.shape[0], op.shape[1]
+        op = (op[:, :, None, :, None] * r[:, None, :, None, :]).reshape(n, 2 * d, 2 * d)
+    amps = op @ state.amps
+    v = amps.view(float)
+    norms = (v * v).sum(axis=1)
+    if not abs(norms - 1.0).max(initial=0.0) <= tensor.TOL_NORM:
+        raise RuntimeError(f"rotated states not normalized: |amps|^2 = {norms.tolist()!r}")
+    # Outcome i (bits: each party's +1/-1 choice) sits at basis index i ^ mask.
+    mask = 0
+    for bit in plus:
+        mask = 2 * mask + bit
+    order = [i ^ mask for i in range(2 ** len(plus))]
+    # Python's abs and ** (not numpy's array forms) give the same bits as a
+    # per-run scalar readout.
+    return [[abs(row[i]) ** 2 for i in order] for row in amps.tolist()]
 
 
+def _correlations(rows: list[list[float]]) -> list[float]:
+    """Expected product of the +/-1 outcomes for each row of _born_rows,
+    summed in outcome order as OutcomeDistribution.correlation does."""
+    signs = [-1 if bin(i).count("1") % 2 else 1 for i in range(len(rows[0]))] if rows else []
+    out = []
+    for row in rows:
+        total = 0.0
+        for sign, p in zip(signs, row):
+            total += sign * p
+        out.append(total)
+    return out
+
+
+def _distribution(row: list[float], angles, outcome_labels) -> OutcomeDistribution:
+    settings = tuple(AnalyzerSetting(p + 1, a) for p, a in enumerate(angles))
+    labels = itertools.product(outcome_labels, repeat=len(angles))
+    return OutcomeDistribution(settings, tuple(zip(labels, row)))
+
+
+# --- shared states --------------------------------------------------------------
+
+
+@functools.cache
 def _photon_basis() -> tuple[StateVector, StateVector]:
     bx = tensor.basis_state(("x", "y"), 0)
     by = tensor.basis_state(("x", "y"), 1)
     return bx, by
 
 
+@functools.cache
 def entangled_pair_state() -> StateVector:
     """(|x>|y> + |y>|x>)/sqrt2, the rotation-invariant two-photon state."""
     bx, by = _photon_basis()
     return normalized(kron(bx, by).amps + kron(by, bx).amps, kron(bx, by).labels)
 
 
-def entangled_pair_distribution(theta1: float, theta2: float) -> OutcomeDistribution:
-    """Joint pass/stop probabilities for the two-photon pair.
-
-    The two analyzers sit in frames facing each other: party 2's angle runs in
-    the opposite sense in the shared coordinates and its pass axis is the
-    rotated y axis (a y-polarized photon reaches detector 2 at theta2 = 0).
-    """
-    state = entangled_pair_state()
-    rot = kron_op(linear_basis_rotation(theta1), linear_basis_rotation(-theta2))
-    rotated = apply(rot, state)
-    settings = (AnalyzerSetting(1, theta1), AnalyzerSetting(2, theta2))
-    return _distribution(rotated, settings, (0, 1), PHOTON_OUTCOMES)
-
-
-def pair_correlation(theta1: float, theta2: float) -> float:
-    """Expected product of the two +/-1 photon outcomes."""
-    return entangled_pair_distribution(theta1, theta2).correlation()
-
-
+@functools.cache
 def hardy_state() -> StateVector:
     """(|xx> - |xy> - |yx> - 3|yy>)/sqrt12."""
     bx, by = _photon_basis()
@@ -152,27 +203,7 @@ def hardy_state() -> StateVector:
     return normalized(amps, kron(bx, bx).labels)
 
 
-def _check_hardy_angle(theta: float) -> None:
-    if min(abs(theta), abs(theta - math.pi / 4)) > tensor.TOL_NORM:
-        raise ValueError(
-            "hardy analyzers are quoted at 0 or pi/4; pass allow_general=True for other angles"
-        )
-
-
-def hardy_distribution(
-    theta1: float, theta2: float, allow_general: bool = False
-) -> OutcomeDistribution:
-    """Joint pass/stop probabilities for the Hardy pair; both analyzers pass
-    along their rotated x axes (same rotation sense for both parties)."""
-    if not allow_general:
-        _check_hardy_angle(theta1)
-        _check_hardy_angle(theta2)
-    rot = kron_op(linear_basis_rotation(theta1), linear_basis_rotation(theta2))
-    rotated = apply(rot, hardy_state())
-    settings = (AnalyzerSetting(1, theta1), AnalyzerSetting(2, theta2))
-    return _distribution(rotated, settings, (0, 0), PHOTON_OUTCOMES)
-
-
+@functools.cache
 def ghz_state() -> StateVector:
     """(|yyy> - |yxx> - |xyx> - |xxy>)/2."""
     bx, by = _photon_basis()
@@ -187,6 +218,75 @@ def ghz_state() -> StateVector:
         - triple(bx, bx, by).amps
     )
     return normalized(amps, triple(bx, bx, bx).labels)
+
+
+@functools.cache
+def electron_singlet_state() -> StateVector:
+    """(|ud> - |du>)/sqrt2 for two spin-1/2 particles."""
+    up = tensor.basis_state(spin.SPIN_HALF_LABELS, 0)
+    dn = tensor.basis_state(spin.SPIN_HALF_LABELS, 1)
+    return normalized(kron(up, dn).amps - kron(dn, up).amps, kron(up, dn).labels)
+
+
+# --- photon pair ----------------------------------------------------------------
+
+
+def _pair_rows(theta1s, theta2s) -> list[list[float]]:
+    # Party 2's analyzer faces party 1, so its angle runs in the opposite
+    # sense in the shared coordinates, and its pass axis is the rotated y axis.
+    return _born_rows(entangled_pair_state(), (theta1s, [-t for t in theta2s]), (0, 1))
+
+
+def entangled_pair_distribution(theta1: float, theta2: float) -> OutcomeDistribution:
+    """Joint pass/stop probabilities for the two-photon pair.
+
+    The two analyzers sit in frames facing each other: party 2's angle runs in
+    the opposite sense in the shared coordinates and its pass axis is the
+    rotated y axis (a y-polarized photon reaches detector 2 at theta2 = 0).
+    """
+    _check_finite(theta1, theta2)
+    (row,) = _pair_rows([theta1], [theta2])
+    return _distribution(row, (theta1, theta2), PHOTON_OUTCOMES)
+
+
+def pair_correlation(theta1: float, theta2: float) -> float:
+    """Expected product of the two +/-1 photon outcomes."""
+    return entangled_pair_distribution(theta1, theta2).correlation()
+
+
+def pair_correlations(theta1s, theta2s) -> list[float]:
+    """pair_correlation for each (theta1s[k], theta2s[k]), in one batch."""
+    theta1s, theta2s = list(theta1s), list(theta2s)
+    if len(theta1s) != len(theta2s):
+        raise ValueError(f"{len(theta1s)} party-1 angles for {len(theta2s)} party-2 angles")
+    _check_finite(*theta1s, *theta2s)
+    return _correlations(_pair_rows(theta1s, theta2s))
+
+
+# --- Hardy pair -----------------------------------------------------------------
+
+
+def _check_hardy_angle(theta: float) -> None:
+    if min(abs(theta), abs(theta - math.pi / 4)) > tensor.TOL_NORM:
+        raise ValueError(
+            "hardy analyzers are quoted at 0 or pi/4; pass allow_general=True for other angles"
+        )
+
+
+def hardy_distribution(
+    theta1: float, theta2: float, allow_general: bool = False
+) -> OutcomeDistribution:
+    """Joint pass/stop probabilities for the Hardy pair; both analyzers pass
+    along their rotated x axes (same rotation sense for both parties)."""
+    _check_finite(theta1, theta2)
+    if not allow_general:
+        _check_hardy_angle(theta1)
+        _check_hardy_angle(theta2)
+    (row,) = _born_rows(hardy_state(), ([theta1], [theta2]), (0, 0))
+    return _distribution(row, (theta1, theta2), PHOTON_OUTCOMES)
+
+
+# --- GHZ triple -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -212,53 +312,57 @@ def ghz_parity_distribution(case: str) -> GhzParity:
     if case not in GHZ_CASES:
         raise ValueError(f"case must be one of {sorted(GHZ_CASES)}; got {case!r}")
     angles = GHZ_CASES[case]
-    rot = kron_op(
-        kron_op(linear_basis_rotation(angles[0]), linear_basis_rotation(angles[1])),
-        linear_basis_rotation(angles[2]),
-    )
-    rotated = apply(rot, ghz_state())
-    settings = tuple(AnalyzerSetting(p + 1, a) for p, a in enumerate(angles))
-    dist = _distribution(rotated, settings, (0, 0, 0), PHOTON_OUTCOMES)
+    (row,) = _born_rows(ghz_state(), tuple([a] for a in angles), (0, 0, 0))
+    dist = _distribution(row, angles, PHOTON_OUTCOMES)
     p_even = sum(p for row, p in dist.outcomes if row.count("pass") % 2 == 0)
     p_odd = sum(p for row, p in dist.outcomes if row.count("pass") % 2 == 1)
     return GhzParity(dist, p_even, p_odd)
 
 
-def electron_singlet_state() -> StateVector:
-    """(|ud> - |du>)/sqrt2 for two spin-1/2 particles."""
-    up = tensor.basis_state(spin.SPIN_HALF_LABELS, 0)
-    dn = tensor.basis_state(spin.SPIN_HALF_LABELS, 1)
-    return normalized(kron(up, dn).amps - kron(dn, up).amps, kron(up, dn).labels)
+# --- electron singlet -----------------------------------------------------------
+
+
+def _singlet_rows(theta1s, theta2s) -> list[list[float]]:
+    # A spin-1/2 rotation through theta is a basis rotation through theta/2.
+    halves = ([t / 2 for t in theta1s], [t / 2 for t in theta2s])
+    return _born_rows(electron_singlet_state(), halves, (0, 0))
 
 
 def electron_singlet_distribution(theta1: float, theta2: float) -> OutcomeDistribution:
     """Joint up/down probabilities with each Stern-Gerlach axis tilted in the
     zx-plane through its own angle (both parties in the same sense)."""
-    u1 = spin.euler_rotation_su2(spin.EulerAngles(theta1, 0.0, 0.0))
-    u2 = spin.euler_rotation_su2(spin.EulerAngles(theta2, 0.0, 0.0))
-    rotated = apply(kron_op(u1, u2), electron_singlet_state())
-    settings = (AnalyzerSetting(1, theta1), AnalyzerSetting(2, theta2))
-    return _distribution(rotated, settings, (0, 0), ELECTRON_OUTCOMES)
+    _check_finite(theta1, theta2)
+    (row,) = _singlet_rows([theta1], [theta2])
+    return _distribution(row, (theta1, theta2), ELECTRON_OUTCOMES)
 
 
 def electron_correlation(theta1: float, theta2: float) -> float:
     return electron_singlet_distribution(theta1, theta2).correlation()
 
 
+# --- CHSH -----------------------------------------------------------------------
+
+_CHSH_CARRIERS = {
+    "photon": (_pair_rows, PHOTON_OUTCOMES),
+    "electron": (_singlet_rows, ELECTRON_OUTCOMES),
+}
+
+
 def chsh_correlations(
     theta1: float, theta1p: float, theta2: float, theta2p: float, system: str = "photon"
 ) -> tuple[float, float, float, float]:
     """The four expected products (E11, E11', E1'1, E1'1') for either carrier."""
-    corr = {"photon": pair_correlation, "electron": electron_correlation}
-    if system not in corr:
+    if system not in _CHSH_CARRIERS:
         raise ValueError(f"system must be 'photon' or 'electron'; got {system!r}")
-    e = corr[system]
-    return (
-        e(theta1, theta2),
-        e(theta1, theta2p),
-        e(theta1p, theta2),
-        e(theta1p, theta2p),
+    _check_finite(theta1, theta1p, theta2, theta2p)
+    rows_of, labels = _CHSH_CARRIERS[system]
+    firsts, seconds = (theta1, theta1, theta1p, theta1p), (theta2, theta2p, theta2, theta2p)
+    rows = rows_of(firsts, seconds)
+    e11, e12, e21, e22 = (
+        _distribution(row, run, labels).correlation()
+        for row, run in zip(rows, zip(firsts, seconds))
     )
+    return e11, e12, e21, e22
 
 
 def chsh_quantum(

@@ -9,6 +9,7 @@ squared eigenvalues in units of hbar^2.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -225,8 +226,11 @@ def _pair_labels() -> tuple[str, ...]:
     return tuple(f"{a}⊗{b}" for a in SPIN_HALF_LABELS for b in SPIN_HALF_LABELS)
 
 
+@functools.cache
 def singlet_triplet_basis() -> tuple[StateVector, StateVector, StateVector, StateVector]:
-    """(singlet, triplet m=+1, triplet m=0, triplet m=-1) on the two-spin space."""
+    """(singlet, triplet m=+1, triplet m=0, triplet m=-1) on the two-spin space.
+
+    Built and validated once; every caller shares the same frozen states."""
     labels = _pair_labels()
     rt2 = 1.0 / math.sqrt(2.0)
     return (

@@ -4,10 +4,15 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bellkit import cli, experiments, lhvt, spin
+
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_cli(*argv):
@@ -33,6 +38,12 @@ def test_pair_sweep_matches_library(capsys):
         d, val = line.split(",")
         expected = experiments.pair_correlation(math.radians(int(d)), 0.0)
         assert float(val) == expected  # repr round-trips exactly
+
+
+def test_pair_sweep_matches_golden(capsys):
+    assert run_cli("pair", "--sweep") == 0
+    golden = (GOLDEN / "pair_sweep.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def test_poincare_linear_x(capsys):
@@ -190,9 +201,15 @@ def test_lhvt_chsh_too_few_samples_named_not_nan(capsys):
     assert "combination estimate unavailable" in out
 
 
-def test_report_requires_all_flag(capsys):
+def test_report_requires_all_flag(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("report without --all computed the report")
+
+    monkeypatch.setattr(cli, "build_report", refuse)
     assert run_cli("report") == 1
-    assert "pass --all" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "pass --all" in captured.err
+    assert captured.out == ""
 
 
 def test_report_table(capsys):
@@ -237,6 +254,12 @@ def test_report_json_byte_identical_across_processes(tmp_path):
     b = subprocess.run(cmd, capture_output=True, check=True)
     assert a.stdout == b.stdout
     assert a.stdout  # non-empty
+
+
+def test_report_json_matches_bench_golden(capsys):
+    assert run_cli("report", "--all", "--format", "json") == 0
+    golden = (ROOT / "bench" / "golden" / "report_all.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def test_report_out_file(tmp_path, capsys):
@@ -285,6 +308,22 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         cli.main(["lhvt", "--scenario", "nonsense"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("pair", "--theta1", "nan"),
+    ("rotate", "--spin", "half", "--euler", "inf", "0", "0"),
+    ("poincare", "--alpha-x", "nan", "--alpha-y", "1"),
+    ("lhvt", "--scenario", "chsh", "--angles", "0", "inf", "45", "90"),
+], ids=["pair", "rotate", "poincare", "lhvt"])
+def test_non_finite_input_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "expected a finite number" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_card_string():
