@@ -157,19 +157,6 @@ def _born_rows(state: StateVector, angles, plus: tuple[int, ...]) -> list[list[f
     return [[abs(row[i]) ** 2 for i in order] for row in amps.tolist()]
 
 
-def _correlations(rows: list[list[float]]) -> list[float]:
-    """Expected product of the +/-1 outcomes for each row of _born_rows,
-    summed in outcome order as OutcomeDistribution.correlation does."""
-    signs = [-1 if bin(i).count("1") % 2 else 1 for i in range(len(rows[0]))] if rows else []
-    out = []
-    for row in rows:
-        total = 0.0
-        for sign, p in zip(signs, row):
-            total += sign * p
-        out.append(total)
-    return out
-
-
 def _distribution(row: list[float], angles, outcome_labels) -> OutcomeDistribution:
     settings = tuple(AnalyzerSetting(p + 1, a) for p, a in enumerate(angles))
     labels = itertools.product(outcome_labels, repeat=len(angles))
@@ -260,7 +247,11 @@ def pair_correlations(theta1s, theta2s) -> list[float]:
     if len(theta1s) != len(theta2s):
         raise ValueError(f"{len(theta1s)} party-1 angles for {len(theta2s)} party-2 angles")
     _check_finite(*theta1s, *theta2s)
-    return _correlations(_pair_rows(theta1s, theta2s))
+    rows = _pair_rows(theta1s, theta2s)
+    return [
+        _distribution(row, run, PHOTON_OUTCOMES).correlation()
+        for row, run in zip(rows, zip(theta1s, theta2s))
+    ]
 
 
 # --- Hardy pair -----------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The batched quantum readout in bellkit.experiments against the per-call
 object path it replaced, kept here as the reference, plus physical invariants
-and exact oracles for the quoted quantum numbers."""
+and Tsirelson's bound.  The exact sympy oracles live in test_quantum_oracles."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import random
 
 import numpy as np
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,65 +231,6 @@ def test_ghz_normalized_and_no_signalling():
     party1 = [math.fsum(row[:4]) for row in rows]
     assert max(party1) - min(party1) <= TOL
     assert all(abs(math.fsum(row) - 1.0) <= TOL for row in rows)
-
-
-# --- exact oracles ------------------------------------------------------------
-
-
-def _sym_probability(state, angles, signs, index):
-    rot = None
-    for theta, sense in zip(angles, signs):
-        c, s = sympy.cos(sense * theta), sympy.sin(sense * theta)
-        r = sympy.Matrix([[c, s], [-s, c]])
-        rot = r if rot is None else sympy.kronecker_product(rot, r)
-    amp = (rot * sympy.Matrix(state))[index]
-    return sympy.nsimplify(sympy.simplify(amp**2))
-
-
-def _within(value: float, exact, tol=1e-15) -> bool:
-    return abs(sympy.Float(value, 40) - sympy.N(exact, 40)) <= tol
-
-
-PAIR_STATE = [0, 1 / sympy.sqrt(2), 1 / sympy.sqrt(2), 0]
-
-
-def test_oracle_grid30_agreement_three_quarters():
-    pi = sympy.pi
-    # agreement = P(pass, pass) + P(stop, stop): basis indices 1 and 2
-    exact = sum(_sym_probability(PAIR_STATE, (0, pi / 6), (1, -1), i) for i in (1, 2))
-    assert sympy.simplify(exact - sympy.Rational(3, 4)) == 0
-    value = ex.entangled_pair_distribution(0.0, math.radians(30.0)).agreement()
-    assert _within(value, exact)
-
-
-def test_oracle_grid120_agreement_one_quarter():
-    pi = sympy.pi
-    exact = sum(_sym_probability(PAIR_STATE, (0, 2 * pi / 3), (1, -1), i) for i in (1, 2))
-    assert sympy.simplify(exact - sympy.Rational(1, 4)) == 0
-    value = ex.entangled_pair_distribution(0.0, math.radians(120.0)).agreement()
-    assert _within(value, exact)
-
-
-def test_oracle_hardy_pass_pass_one_twelfth():
-    r = 1 / sympy.sqrt(12)
-    exact = _sym_probability([r, -r, -r, -3 * r], (0, 0), (1, 1), 0)
-    assert exact == sympy.Rational(1, 12)
-    value = ex.hardy_distribution(0.0, 0.0).probability_of("pass", "pass")
-    assert _within(value, exact)
-
-
-def test_oracle_chsh_two_root_two():
-    pi = sympy.pi
-    t1, t1p, t2, t2p = pi / 4, pi / 2, 3 * pi / 8, pi / 8
-
-    def e(a, b):
-        p = [_sym_probability(PAIR_STATE, (a, b), (1, -1), i) for i in range(4)]
-        # pass/pass at index 1, stop/stop at 2, the mixed outcomes at 0 and 3
-        return p[1] + p[2] - p[0] - p[3]
-
-    exact = sympy.simplify(e(t1, t2) + e(t1, t2p) + e(t1p, t2) - e(t1p, t2p))
-    assert sympy.simplify(exact - 2 * sympy.sqrt(2)) == 0
-    assert _within(ex.chsh_quantum(*ex.CHSH_PHOTON_SETTINGS), exact)
 
 
 angle = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi, allow_nan=False)
