@@ -5,6 +5,13 @@ library call.  Tables round to six decimals; JSON keeps full float precision
 and serializes deterministically (sorted keys), so identical invocations are
 byte-identical.  Exit codes: 0 success, 1 usage/input error, 2 internal check
 failure.  BELLKIT_SEED overrides the Monte-Carlo seed when --seed is absent.
+
+Each scenario is one function in the SCENARIOS table, in report order, that
+computes its numbers once into one RunReport: the JSON fields, the two table
+cells and the `lhvt` lines.  Only chsh takes --angles and --mc-trials.  Input
+is checked at the edge, before any output: argparse types reject non-finite
+numbers and bad seeds (BELLKIT_SEED too), and each command checks the rest of
+its input before it prints anything.
 """
 
 from __future__ import annotations
@@ -136,7 +143,12 @@ def _parse_state(values, dim: int) -> tensor.StateVector:
         raise UsageError(f"--state needs {2 * dim} numbers (re im pairs), got {len(values)}")
     amps = [complex(values[2 * k], values[2 * k + 1]) for k in range(dim)]
     labels = spin.SPIN_HALF_LABELS if dim == 2 else spin.SPIN_ONE_LABELS
-    norm = sum(abs(a) ** 2 for a in amps)
+    try:
+        norm = sum(abs(a) ** 2 for a in amps)
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise UsageError("--state amplitudes are too large: |amps|^2 overflows")
     if norm == 0.0:
         raise UsageError("state vector is zero")
     if abs(norm - 1.0) > tensor.TOL_NORM:
@@ -150,12 +162,12 @@ def cmd_rotate(args) -> int:
         u = spin.euler_rotation_su2(euler)
     else:
         u = spin.euler_rotation_spin1(euler)
+    state = None if args.state is None else _parse_state(args.state, u.dim)
     print(f"rotation matrix (spin {args.spin}), euler deg "
           f"theta={_fmt(args.euler[0])} phi={_fmt(args.euler[1])} chi={_fmt(args.euler[2])}")
     print(_fmt_matrix(u.entries))
 
-    if args.state is not None:
-        state = _parse_state(args.state, u.dim)
+    if state is not None:
         out = tensor.apply(u, state)
         print("rotated state")
         for label, amp in zip(out.labels, out.amps):
@@ -189,7 +201,24 @@ def cmd_rotate(args) -> int:
     return 0
 
 
-# --- lhvt -------------------------------------------------------------------
+# --- scenarios --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """One scenario's quantum numbers, classical bound data and derived verdict,
+    plus the two cells of its `report` row and the lines `lhvt` prints for it.
+    The cells and lines are not serialized."""
+
+    scenario: str
+    quantum: dict
+    classical: dict
+    verdict: str
+    cells: tuple[str, str]
+    lines: tuple[str, ...]
+
+    def as_dict(self) -> dict:
+        return {"quantum": self.quantum, "classical": self.classical, "verdict": self.verdict}
 
 
 def _bound_line(name: str, bound: lhvt.ClassicalBound) -> str:
@@ -205,262 +234,215 @@ def _verdict(quantum: float, bound: lhvt.ClassicalBound) -> str:
     return VIOLATION if quantum < float(bound.value) - VERDICT_MARGIN else CONSISTENT
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("BELLKIT_SEED", "0"))
+def _against_bound(name, key, quantum, bound, classical, lines) -> RunReport:
+    """A scenario that holds one quantum number, reported under key, against
+    one classical bound; lines are the `lhvt` lines before the verdict."""
+    verdict = _verdict(quantum, bound)
+    classical = {
+        "bound": float(bound.value),
+        "bound_exact": str(bound.value),
+        "direction": bound.direction,
+        **classical,
+    }
+    return RunReport(
+        name, {key: quantum}, classical, verdict,
+        (_fmt(quantum), _fmt(float(bound.value))), (*lines, f"verdict: {verdict}"),
+    )
+
+
+def _optimizers(bound: lhvt.ClassicalBound) -> dict:
+    return {
+        "strategy_count": len(bound.candidates),
+        "optimizer_count": len(bound.optimizers),
+        "optimizers": [card_string(t) for t in bound.optimizers],
+    }
+
+
+def _grid30() -> RunReport:
+    spec = lhvt.grid30_scenario()
+    bound = lhvt.max_agreement_30grid()
+    quantum = experiments.entangled_pair_distribution(0.0, math.radians(30.0)).agreement()
+    zero = sum(1 for t in bound.candidates if lhvt.agreement_fraction(spec, t) == 0)
+    return _against_bound("grid30", "agreement_delta30", quantum, bound, _optimizers(bound), (
+        "scenario grid30: shared card, 12 settings, second analyzer +30deg",
+        f"strategies: {len(bound.candidates)}",
+        _bound_line("agreement", bound),
+        f"zero-agreement cards: {zero}",
+        f"quantum agreement at delta=30deg: {_fmt(quantum)}",
+    ))
+
+
+def _grid120() -> RunReport:
+    bound = lhvt.min_agreement_120grid()
+    quantum = experiments.entangled_pair_distribution(0.0, math.radians(120.0)).agreement()
+    return _against_bound("grid120", "agreement_delta120", quantum, bound, _optimizers(bound), (
+        "scenario grid120: shared card on {0,120,240}, analyzers 120deg apart",
+        f"strategies: {len(bound.candidates)}",
+        _bound_line("agreement", bound),
+        f"quantum agreement at delta=120deg: {_fmt(quantum)}",
+    ))
+
+
+def _hardy() -> RunReport:
+    count = lhvt.strategy_count(lhvt.hardy_scenario())
+    bound = lhvt.hardy_passpass_bound()
+    feasible = [card_string(t) for t in bound.candidates]
+    quantum = experiments.hardy_distribution(0.0, 0.0).probability_of("pass", "pass")
+    classical = {"strategy_count": count, "feasible_count": len(feasible), "feasible": feasible}
+    return _against_bound("hardy", "pass_pass_at_00", quantum, bound, classical, (
+        "scenario hardy: independent cards at {0,45}deg",
+        f"strategies: {count}, feasible after zero constraints: {len(feasible)}",
+        *(f"  feasible card {card}" for card in feasible),
+        _bound_line("pass/pass at (0,0)", bound),
+        f"quantum pass/pass at (0,0): {_fmt(quantum)}",
+    ))
+
+
+def _ghz() -> RunReport:
+    stages = lhvt.ghz_elimination_stages()
+    parities = {c: experiments.ghz_parity_distribution(c).certain_parity for c in "ABCD"}
+    ok = len(stages.feasible) == 0 and all(p is not None for p in parities.values())
+    verdict = VIOLATION if ok else CONSISTENT
+    classical = {
+        "strategy_count": len(stages.all_strategies),
+        "after_case_a": len(stages.after_case_a),
+        "feasible_count": len(stages.feasible),
+    }
+    certain = sum(1 for p in parities.values() if p)
+    return RunReport(
+        "ghz", {"certain_parity": parities}, classical, verdict,
+        (f"certain {certain}/4", f"feasible {len(stages.feasible)}"),
+        (
+            "scenario ghz: independent cards at {0,45}deg, three photons",
+            f"strategies: {len(stages.all_strategies)}; after case A parity filter: "
+            f"{len(stages.after_case_a)}; after all four: {len(stages.feasible)}",
+            *(f"  case {case}: {parity} detect count certain" for case, parity in parities.items()),
+            f"verdict: {verdict}",
+        ),
+    )
+
+
+def _electron() -> RunReport:
+    bound = lhvt.min_antiparallel_electron()
+    quantum = experiments.electron_singlet_distribution(0.0, math.radians(120.0)).antiparallel()
+    return _against_bound("electron", "antiparallel_delta120", quantum, bound, _optimizers(bound), (
+        "scenario electron: opposite cards on {0,120,240}, unequal settings scored",
+        f"strategies: {len(bound.candidates)}",
+        _bound_line("antiparallel", bound),
+        f"quantum antiparallel at delta=120deg: {_fmt(quantum)}",
+    ))
+
+
+def _chsh(angles=None, mc_trials: int = 0, seed: int = 0) -> RunReport:
+    """CHSH at the given analyzer degrees (default: the photon optimum), with
+    an optional Monte-Carlo run of the uniform strategy mixture."""
+    if angles is None:
+        angles = [math.degrees(a) for a in experiments.CHSH_PHOTON_SETTINGS]
+    try:
+        classical = lhvt.chsh_classical(*angles)
+    except ValueError as exc:
+        raise UsageError(f"--angles: {exc}") from exc
+    rads = [math.radians(a) for a in angles]
+    corr = experiments.chsh_correlations(*rads)
+    gamma = experiments.chsh_quantum(*rads)
+    verdict = VIOLATION if abs(gamma) > 2.0 + VERDICT_MARGIN else CONSISTENT
+    lines = [
+        "scenario chsh: two settings per party",
+        "settings deg: " + " ".join(_fmt(a) for a in angles),
+        f"strategies: {len(classical.gammas)}, combination values all +/-2",
+        _bound_line("combination", classical.max_bound),
+        _bound_line("combination", classical.min_bound),
+        "quantum correlations: " + " ".join(_fmt(e) for e in corr),
+        f"quantum combination = {_fmt(gamma)}",
+        f"verdict: {verdict}",
+    ]
+    if mc_trials:
+        n = len(classical.gammas)
+        est = lhvt.monte_carlo_mixture(classical.scenario, [1.0 / n] * n, mc_trials, seed)
+        lines.append(f"monte carlo, uniform mixture, {mc_trials} trials, seed {seed}")
+        for run, count, mean, se, exact in zip(
+            est.runs, est.counts, est.means, est.std_errors, est.exact
+        ):
+            sampled = (
+                f"mean {_fmt(mean)} (se {_fmt(se)}, n={count})"
+                if count > 1
+                else f"too few samples for a mean and error (n={count})"
+            )
+            lines.append(f"  run {run[0]:g}/{run[1]:g} deg: {sampled}, exact {_fmt(exact)}")
+        if min(est.counts) > 1:
+            m, se = est.chsh_combination()
+            lines.append(f"  combination estimate {_fmt(m)} +/- {_fmt(se)}")
+        else:
+            lines.append("  combination estimate unavailable: every run needs at least 2 samples")
+    return RunReport(
+        "chsh",
+        {"settings_deg": list(angles), "correlations": list(corr), "combination": gamma},
+        {
+            "bound_max": float(classical.max_bound.value),
+            "bound_min": float(classical.min_bound.value),
+            "strategy_count": len(classical.gammas),
+        },
+        verdict,
+        (_fmt(gamma), _fmt(float(classical.max_bound.value))),
+        tuple(lines),
+    )
+
+
+# Every scenario in report order; `lhvt --scenario` offers the same names.
+SCENARIOS = {
+    "grid30": _grid30,
+    "grid120": _grid120,
+    "hardy": _hardy,
+    "ghz": _ghz,
+    "electron": _electron,
+    "chsh": _chsh,
+}
+
+
+# --- lhvt -------------------------------------------------------------------
+
+
+def _seed(text: str) -> int:
+    """argparse type: a Monte-Carlo seed, which is a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer (--seed, else BELLKIT_SEED), got {text!r}"
+        )
+    return value
 
 
 def cmd_lhvt(args) -> int:
-    name = args.scenario
-    if name == "grid30":
-        spec = lhvt.grid30_scenario()
-        bound = lhvt.max_agreement_30grid()
-        fractions = [lhvt.agreement_fraction(spec, t) for t in lhvt.enumerate_strategies(spec)]
-        zero = sum(1 for f in fractions if f == 0)
-        quantum = experiments.entangled_pair_distribution(0.0, math.radians(30.0)).agreement()
-        print("scenario grid30: shared card, 12 settings, second analyzer +30deg")
-        print(f"strategies: {len(fractions)}")
-        print(_bound_line("agreement", bound))
-        print(f"zero-agreement cards: {zero}")
-        print(f"quantum agreement at delta=30deg: {_fmt(quantum)}")
-        print(f"verdict: {_verdict(quantum, bound)}")
-    elif name == "grid120":
-        spec = lhvt.grid120_scenario()
-        bound = lhvt.min_agreement_120grid()
-        quantum = experiments.entangled_pair_distribution(0.0, math.radians(120.0)).agreement()
-        print("scenario grid120: shared card on {0,120,240}, analyzers 120deg apart")
-        print(f"strategies: {len(lhvt.enumerate_strategies(spec))}")
-        print(_bound_line("agreement", bound))
-        print(f"quantum agreement at delta=120deg: {_fmt(quantum)}")
-        print(f"verdict: {_verdict(quantum, bound)}")
-    elif name == "electron":
-        spec = lhvt.electron_scenario()
-        bound = lhvt.min_antiparallel_electron()
-        quantum = experiments.electron_singlet_distribution(0.0, math.radians(120.0)).antiparallel()
-        print("scenario electron: opposite cards on {0,120,240}, unequal settings scored")
-        print(f"strategies: {len(lhvt.enumerate_strategies(spec))}")
-        print(_bound_line("antiparallel", bound))
-        print(f"quantum antiparallel at delta=120deg: {_fmt(quantum)}")
-        print(f"verdict: {_verdict(quantum, bound)}")
-    elif name == "hardy":
-        spec = lhvt.hardy_scenario()
-        feasible = lhvt.hardy_feasible_set()
-        bound = lhvt.hardy_passpass_bound()
-        quantum = experiments.hardy_distribution(0.0, 0.0).probability_of("pass", "pass")
-        print("scenario hardy: independent cards at {0,45}deg")
-        print(f"strategies: {len(lhvt.enumerate_strategies(spec))}, "
-              f"feasible after zero constraints: {len(feasible)}")
-        for t in feasible:
-            print(f"  feasible card {card_string(t)}")
-        print(_bound_line("pass/pass at (0,0)", bound))
-        print(f"quantum pass/pass at (0,0): {_fmt(quantum)}")
-        print(f"verdict: {_verdict(quantum, bound)}")
-    elif name == "ghz":
-        stages = lhvt.ghz_elimination_stages()
-        parities = {c: experiments.ghz_parity_distribution(c).certain_parity for c in "ABCD"}
-        print("scenario ghz: independent cards at {0,45}deg, three photons")
-        print(f"strategies: {len(stages.all_strategies)}; after case A parity filter: "
-              f"{len(stages.after_case_a)}; after all four: {len(stages.feasible)}")
-        for case, parity in parities.items():
-            print(f"  case {case}: {parity} detect count certain")
-        ok = len(stages.feasible) == 0 and all(p is not None for p in parities.values())
-        print(f"verdict: {VIOLATION if ok else CONSISTENT}")
-    elif name == "chsh":
-        angles = args.angles
-        if angles is None:
-            angles = [math.degrees(a) for a in experiments.CHSH_PHOTON_SETTINGS]
-        if len(angles) != 4:
-            raise UsageError("--angles needs exactly four degrees values")
+    options = {}
+    if args.angles is not None:
+        options["angles"] = args.angles
+    if args.mc_trials:
         if args.mc_trials < 0:
             raise UsageError("--mc-trials must be non-negative")
         if args.mc_trials > lhvt.MAX_MC_TRIALS:
             raise UsageError(f"--mc-trials must be at most {lhvt.MAX_MC_TRIALS}")
-        try:
-            classical = lhvt.chsh_classical(*angles)
-        except ValueError as exc:
-            raise UsageError(f"--angles: {exc}") from exc
-        rads = [math.radians(a) for a in angles]
-        corr = experiments.chsh_correlations(*rads)
-        gamma = experiments.chsh_quantum(*rads)
-        print("scenario chsh: two settings per party")
-        print("settings deg: " + " ".join(_fmt(a) for a in angles))
-        print(f"strategies: {len(classical.gammas)}, combination values all +/-2")
-        print(_bound_line("combination", classical.max_bound))
-        print(_bound_line("combination", classical.min_bound))
-        print("quantum correlations: " + " ".join(_fmt(e) for e in corr))
-        print(f"quantum combination = {_fmt(gamma)}")
-        verdict = VIOLATION if abs(gamma) > 2.0 + VERDICT_MARGIN else CONSISTENT
-        print(f"verdict: {verdict}")
-        if args.mc_trials:
-            spec = classical.scenario
-            n = len(classical.gammas)
-            est = lhvt.monte_carlo_mixture(spec, [1.0 / n] * n, args.mc_trials, _seed(args))
-            print(f"monte carlo, uniform mixture, {args.mc_trials} trials, seed {_seed(args)}")
-            for run, count, mean, se, exact in zip(
-                est.runs, est.counts, est.means, est.std_errors, est.exact
-            ):
-                sampled = (
-                    f"mean {_fmt(mean)} (se {_fmt(se)}, n={count})"
-                    if count > 1
-                    else f"too few samples for a mean and error (n={count})"
-                )
-                print(f"  run {run[0]:g}/{run[1]:g} deg: {sampled}, exact {_fmt(exact)}")
-            if min(est.counts) > 1:
-                m, se = est.chsh_combination()
-                print(f"  combination estimate {_fmt(m)} +/- {_fmt(se)}")
-            else:
-                print("  combination estimate unavailable: every run needs at least 2 samples")
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown scenario {name!r}")
+        options.update(mc_trials=args.mc_trials, seed=args.seed)
+    if options and args.scenario != "chsh":
+        raise UsageError("--angles and --mc-trials apply only to --scenario chsh")
+    print("\n".join(SCENARIOS[args.scenario](**options).lines))
     return 0
 
 
 # --- report -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One scenario's quantum numbers, classical bound data and derived verdict."""
-
-    scenario: str
-    quantum: dict
-    classical: dict
-    verdict: str
-
-    def as_dict(self) -> dict:
-        return {"quantum": self.quantum, "classical": self.classical, "verdict": self.verdict}
-
-
 def build_report() -> list[RunReport]:
     """Every scenario at its quoted parameters; all numbers computed on the spot."""
-    rows = []
-
-    spec30 = lhvt.grid30_scenario()
-    bound30 = lhvt.max_agreement_30grid()
-    q30 = experiments.entangled_pair_distribution(0.0, math.radians(30.0)).agreement()
-    rows.append(
-        RunReport(
-            "grid30",
-            {"agreement_delta30": q30},
-            {
-                "bound": float(bound30.value),
-                "bound_exact": str(bound30.value),
-                "direction": bound30.direction,
-                "strategy_count": len(lhvt.enumerate_strategies(spec30)),
-                "optimizer_count": len(bound30.optimizers),
-                "optimizers": [card_string(t) for t in bound30.optimizers],
-            },
-            _verdict(q30, bound30),
-        )
-    )
-
-    spec120 = lhvt.grid120_scenario()
-    bound120 = lhvt.min_agreement_120grid()
-    q120 = experiments.entangled_pair_distribution(0.0, math.radians(120.0)).agreement()
-    rows.append(
-        RunReport(
-            "grid120",
-            {"agreement_delta120": q120},
-            {
-                "bound": float(bound120.value),
-                "bound_exact": str(bound120.value),
-                "direction": bound120.direction,
-                "strategy_count": len(lhvt.enumerate_strategies(spec120)),
-                "optimizer_count": len(bound120.optimizers),
-                "optimizers": [card_string(t) for t in bound120.optimizers],
-            },
-            _verdict(q120, bound120),
-        )
-    )
-
-    hb = lhvt.hardy_passpass_bound()
-    feasible = lhvt.hardy_feasible_set()
-    qh = experiments.hardy_distribution(0.0, 0.0).probability_of("pass", "pass")
-    rows.append(
-        RunReport(
-            "hardy",
-            {"pass_pass_at_00": qh},
-            {
-                "bound": float(hb.value),
-                "bound_exact": str(hb.value),
-                "direction": hb.direction,
-                "strategy_count": len(lhvt.enumerate_strategies(lhvt.hardy_scenario())),
-                "feasible_count": len(feasible),
-                "feasible": [card_string(t) for t in feasible],
-            },
-            _verdict(qh, hb),
-        )
-    )
-
-    stages = lhvt.ghz_elimination_stages()
-    parities = {c: experiments.ghz_parity_distribution(c).certain_parity for c in "ABCD"}
-    ghz_ok = len(stages.feasible) == 0 and all(p is not None for p in parities.values())
-    rows.append(
-        RunReport(
-            "ghz",
-            {"certain_parity": parities},
-            {
-                "strategy_count": len(stages.all_strategies),
-                "after_case_a": len(stages.after_case_a),
-                "feasible_count": len(stages.feasible),
-            },
-            VIOLATION if ghz_ok else CONSISTENT,
-        )
-    )
-
-    bound_e = lhvt.min_antiparallel_electron()
-    qe = experiments.electron_singlet_distribution(0.0, math.radians(120.0)).antiparallel()
-    rows.append(
-        RunReport(
-            "electron",
-            {"antiparallel_delta120": qe},
-            {
-                "bound": float(bound_e.value),
-                "bound_exact": str(bound_e.value),
-                "direction": bound_e.direction,
-                "strategy_count": len(lhvt.enumerate_strategies(lhvt.electron_scenario())),
-                "optimizer_count": len(bound_e.optimizers),
-                "optimizers": [card_string(t) for t in bound_e.optimizers],
-            },
-            _verdict(qe, bound_e),
-        )
-    )
-
-    angles_deg = [math.degrees(a) for a in experiments.CHSH_PHOTON_SETTINGS]
-    classical = lhvt.chsh_classical(*angles_deg)
-    corr = experiments.chsh_correlations(*experiments.CHSH_PHOTON_SETTINGS)
-    gamma = experiments.chsh_quantum(*experiments.CHSH_PHOTON_SETTINGS)
-    rows.append(
-        RunReport(
-            "chsh",
-            {
-                "settings_deg": angles_deg,
-                "correlations": list(corr),
-                "combination": gamma,
-            },
-            {
-                "bound_max": float(classical.max_bound.value),
-                "bound_min": float(classical.min_bound.value),
-                "strategy_count": len(classical.gammas),
-            },
-            VIOLATION if abs(gamma) > 2.0 + VERDICT_MARGIN else CONSISTENT,
-        )
-    )
-    return rows
+    return [build() for build in SCENARIOS.values()]
 
 
 def _report_table(rows: list[RunReport]) -> str:
     lines = [f"{'scenario':<10} {'quantum':>12} {'classical':>12} {'verdict':<10}"]
     for r in rows:
-        if r.scenario == "ghz":
-            certain = sum(1 for v in r.quantum["certain_parity"].values() if v)
-            q = f"certain {certain}/4"
-            c = f"feasible {r.classical['feasible_count']}"
-        else:
-            q_val = next(v for v in r.quantum.values() if isinstance(v, float))
-            q = _fmt(q_val)
-            c = _fmt(r.classical.get("bound", r.classical.get("bound_max", 0.0)))
+        q, c = r.cells
         lines.append(f"{r.scenario:<10} {q:>12} {c:>12} {r.verdict:<10}")
     return "\n".join(lines)
 
@@ -500,14 +482,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("lhvt", help="enumerate instruction-set strategies for a scenario")
-    p.add_argument("--scenario", required=True,
-                   choices=["grid30", "grid120", "electron", "hardy", "ghz", "chsh"])
+    p.add_argument("--scenario", required=True, choices=list(SCENARIOS))
     p.add_argument("--angles", type=_finite_float, nargs=4, default=None,
                    help="chsh analyzer angles in degrees (theta1 theta1' theta2 theta2')")
     p.add_argument("--mc-trials", type=int, default=0,
                    help="chsh only: sample a uniform strategy mixture this many times "
                         f"(at most {lhvt.MAX_MC_TRIALS})")
-    p.add_argument("--seed", type=int, default=None,
+    # A string default goes through type too, so BELLKIT_SEED is checked here.
+    p.add_argument("--seed", type=_seed, default=os.environ.get("BELLKIT_SEED", "0"),
                    help="Monte-Carlo seed (default: BELLKIT_SEED or 0)")
     p.set_defaults(func=cmd_lhvt)
 
@@ -544,10 +526,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"bellkit: error: {exc}", file=sys.stderr)
         return 1
-    except InternalCheckError as exc:
-        print(f"bellkit: internal check failed: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
+    except (InternalCheckError, ValueError, RuntimeError) as exc:
         print(f"bellkit: internal check failed: {exc}", file=sys.stderr)
         return 2
 

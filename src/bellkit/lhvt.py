@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import getitem
 
 import numpy as np
@@ -129,11 +129,14 @@ class ClassicalBound:
 
     Mixtures cannot beat it: the figure of merit is an average of per-run
     scores, so it is affine in the mixing weights and extremized at a vertex.
+    candidates lists the strategies the extremum ranges over, in enumeration
+    order: the whole space, or the strategies a filter let through.
     """
 
     value: Fraction
     direction: str
     optimizers: tuple[StrategyTable, ...]
+    candidates: tuple[StrategyTable, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.direction not in ("max", "min"):
@@ -189,18 +192,33 @@ def _cards(spec: ScenarioSpec) -> np.ndarray:
     return cards
 
 
+def strategy_count(spec: ScenarioSpec) -> int:
+    """Number of strategies enumerate_strategies yields, without decoding them."""
+    return 2 ** _card_columns(spec)[2]
+
+
 def _column_offsets(spec: ScenarioSpec) -> list[int]:
     """Index of each party's first column in the card array."""
     return list(accumulate((len(s) for s in spec.settings[:-1]), initial=0))
 
 
-def enumerate_strategies(spec: ScenarioSpec) -> list[StrategyTable]:
-    """All strategies consistent with the scenario's constraints, in a fixed
-    lexicographic order (party-major, setting-minor, +1 before -1)."""
-    cards = _cards(spec)
+def _run_columns(spec: ScenarioSpec) -> np.ndarray:
+    """Card-array column of each party's setting in each run, shape (runs, parties)."""
+    columns = np.array(spec.run_index, dtype=np.intp).reshape(len(spec.runs), spec.parties)
+    columns += _column_offsets(spec)
+    return columns
+
+
+def _tables(spec: ScenarioSpec, cards: np.ndarray) -> list[StrategyTable]:
     bounds = _column_offsets(spec) + [cards.shape[1]]
     rows = zip(*(map(tuple, cards[:, lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])))
     return [StrategyTable._unchecked(outcomes) for outcomes in rows]
+
+
+def enumerate_strategies(spec: ScenarioSpec) -> list[StrategyTable]:
+    """All strategies consistent with the scenario's constraints, in a fixed
+    lexicographic order (party-major, setting-minor, +1 before -1)."""
+    return _tables(spec, _cards(spec))
 
 
 def run_outcomes(spec: ScenarioSpec, table: StrategyTable, run) -> tuple[int, ...]:
@@ -290,7 +308,7 @@ def _extremize(spec, score, direction) -> ClassicalBound:
     scores = [score(t) for t in tables]
     best = max(scores) if direction == "max" else min(scores)
     optimizers = tuple(t for t, s in zip(tables, scores) if s == best)
-    return ClassicalBound(best, direction, optimizers)
+    return ClassicalBound(best, direction, optimizers, tuple(tables))
 
 
 def max_agreement_30grid() -> ClassicalBound:
@@ -311,55 +329,64 @@ def min_antiparallel_electron() -> ClassicalBound:
     return _extremize(spec, lambda t: antiparallel_fraction(spec, t), "min")
 
 
-def _signs(labels) -> tuple[int, ...]:
-    plus = (experiments.PHOTON_OUTCOMES[0], experiments.ELECTRON_OUTCOMES[0])
-    return tuple(PASS if label in plus else STOP for label in labels)
+def _quantum_zeros(distributions) -> list[tuple[int, tuple[int, ...]]]:
+    """(r, +/-1 joint outcome) for each outcome with probability at most
+    ZERO_TOL in distributions[r], read in itertools.product((+1, -1)) order."""
+    return [
+        (r, signs)
+        for r, dist in enumerate(distributions)
+        for signs, (_, p) in zip(product((PASS, STOP), repeat=len(dist.settings)), dist.outcomes)
+        if p <= ZERO_TOL
+    ]
+
+
+def _forbidden(spec: ScenarioSpec, distributions) -> tuple[list[StrategyTable], np.ndarray]:
+    """Every strategy, and a (strategies, runs) mask: True where the strategy
+    would produce an outcome the run's quantum distribution forbids.  Hardy's
+    zeros and the GHZ parities both eliminate strategies by this mask."""
+    cards = _cards(spec)
+    answers = cards[:, _run_columns(spec)]
+    forbidden = np.zeros(answers.shape[:2], dtype=bool)
+    for r, signs in _quantum_zeros(distributions):
+        forbidden[:, r] |= (answers[:, r] == signs).all(axis=1)
+    return _tables(spec, cards), forbidden
+
+
+def _hardy_distributions(spec: ScenarioSpec):
+    return [experiments.hardy_distribution(*(math.radians(a) for a in run)) for run in spec.runs]
 
 
 def hardy_constraints() -> list[tuple[tuple[float, float], tuple[int, ...], str]]:
     """Joint outcomes the quantum Hardy distribution forbids, as (run, outcome
     signs, case letter); read off the computed distributions, not transcribed."""
     spec = hardy_scenario()
-    letters = "ABCD"
-    found = []
-    for run, letter in zip(spec.runs, letters):
-        dist = experiments.hardy_distribution(*(math.radians(a) for a in run))
-        for labels, p in dist.outcomes:
-            if p <= ZERO_TOL:
-                found.append((run, _signs(labels), letter))
-    return found
+    return [
+        (spec.runs[r], signs, "ABCD"[r])
+        for r, signs in _quantum_zeros(_hardy_distributions(spec))
+    ]
 
 
 def hardy_elimination() -> dict[tuple[tuple[int, ...], tuple[int, ...]], frozenset[str]]:
     """For every pair of cards, the set of case letters whose forbidden outcome
     that strategy would produce (empty set = strategy survives)."""
     spec = hardy_scenario()
-    constraints = hardy_constraints()
-    table = {}
-    for t in enumerate_strategies(spec):
-        violated = frozenset(
-            letter
-            for run, signs, letter in constraints
-            if run_outcomes(spec, t, run) == signs
-        )
-        table[(t.outcomes[0], t.outcomes[1])] = violated
-    return table
+    tables, forbidden = _forbidden(spec, _hardy_distributions(spec))
+    return {
+        t.outcomes: frozenset(letter for letter, hit in zip("ABCD", row) if hit)
+        for t, row in zip(tables, forbidden.tolist())
+    }
 
 
 def hardy_feasible_set() -> list[StrategyTable]:
     """Card pairs consistent with every zero of the quantum Hardy distribution."""
     spec = hardy_scenario()
-    constraints = hardy_constraints()
-    return [
-        t
-        for t in enumerate_strategies(spec)
-        if all(run_outcomes(spec, t, run) != signs for run, signs, _ in constraints)
-    ]
+    tables, forbidden = _forbidden(spec, _hardy_distributions(spec))
+    return [t for t, hit in zip(tables, forbidden.any(axis=1).tolist()) if not hit]
 
 
 def hardy_passpass_bound() -> ClassicalBound:
-    """Ceiling on pass/pass at the (0,0) setting over the feasible cards; the
-    quantum value there is strictly positive."""
+    """Ceiling on pass/pass at the (0,0) setting over the feasible cards (its
+    candidates); the quantum value there is strictly positive."""
     spec = hardy_scenario()
     feasible = tuple(hardy_feasible_set())
     run = spec.runs[0]
@@ -367,7 +394,8 @@ def hardy_passpass_bound() -> ClassicalBound:
         Fraction(1 if run_outcomes(spec, t, run) == (PASS, PASS) else 0) for t in feasible
     ]
     best = max(scores)
-    return ClassicalBound(best, "max", tuple(t for t, s in zip(feasible, scores) if s == best))
+    optimizers = tuple(t for t, s in zip(feasible, scores) if s == best)
+    return ClassicalBound(best, "max", optimizers, feasible)
 
 
 @dataclass(frozen=True)
@@ -379,32 +407,23 @@ class GhzStages:
     feasible: tuple[StrategyTable, ...]
 
 
-def _parity_ok(spec, table, run, parity) -> bool:
-    passes = sum(1 for o in run_outcomes(spec, table, run) if o == PASS)
-    return passes % 2 == (0 if parity == "even" else 1)
-
-
 def ghz_elimination_stages() -> GhzStages:
-    """Filter the 64 card triples by the parity each quoted case makes certain."""
+    """Filter the 64 card triples by the parity each quoted case makes certain:
+    the wrong-parity outcomes are exactly the ones the case's distribution
+    forbids."""
     spec = ghz_scenario()
-    parities = []
-    for run, letter in zip(spec.runs, "ABCD"):
-        parity = experiments.ghz_parity_distribution(letter).certain_parity
-        if parity is None:
+    cases = [experiments.ghz_parity_distribution(letter) for letter in "ABCD"]
+    for letter, case in zip("ABCD", cases):
+        if case.certain_parity is None:
             raise RuntimeError(f"case {letter} has no certain parity; nothing to filter on")
-        parities.append((run, parity))
-    everything = tuple(enumerate_strategies(spec))
-    run_a, parity_a = parities[0]
-    after_a = tuple(t for t in everything if _parity_ok(spec, t, run_a, parity_a))
-    feasible = tuple(
-        t for t in after_a if all(_parity_ok(spec, t, run, par) for run, par in parities[1:])
+    tables, forbidden = _forbidden(spec, [case.distribution for case in cases])
+    after_a = forbidden[:, 0].tolist()
+    anywhere = forbidden.any(axis=1).tolist()
+    return GhzStages(
+        tuple(tables),
+        tuple(t for t, hit in zip(tables, after_a) if not hit),
+        tuple(t for t, hit in zip(tables, anywhere) if not hit),
     )
-    return GhzStages(everything, after_a, feasible)
-
-
-def ghz_feasible_set() -> list[StrategyTable]:
-    """Card triples consistent with all four certain parities (there are none)."""
-    return list(ghz_elimination_stages().feasible)
 
 
 @dataclass(frozen=True)
@@ -441,8 +460,8 @@ def chsh_classical(
     return ChshClassical(
         spec,
         gammas,
-        ClassicalBound(Fraction(2), "max", maxers),
-        ClassicalBound(Fraction(-2), "min", miners),
+        ClassicalBound(Fraction(2), "max", maxers, tuple(tables)),
+        ClassicalBound(Fraction(-2), "min", miners, tuple(tables)),
     )
 
 
@@ -478,8 +497,7 @@ def _checked_weights(weights, n: int) -> np.ndarray:
 def _product_matrix(spec: ScenarioSpec) -> np.ndarray:
     """Outcome product of every strategy on every run, shape (strategies, runs)."""
     cards = _cards(spec)
-    columns = np.array(spec.run_index, dtype=np.intp).reshape(len(spec.runs), spec.parties)
-    columns += _column_offsets(spec)
+    columns = _run_columns(spec)
     # C order, as a matrix built row by row: the mixture matmul then sums in
     # the same order and gives the same bits.
     return np.prod(cards[:, columns], axis=2, dtype=np.int8).astype(float, order="C")

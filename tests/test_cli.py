@@ -46,6 +46,21 @@ def test_pair_sweep_matches_golden(capsys):
     assert capsys.readouterr().out == golden
 
 
+# Text outputs pinned byte for byte: tests/golden/<name>.txt holds each one.
+TEXT_GOLDENS = {
+    **{f"lhvt_{s}": ("lhvt", "--scenario", s)
+       for s in ("grid30", "grid120", "electron", "hardy", "ghz", "chsh")},
+    "lhvt_chsh_mc1000_seed3": ("lhvt", "--scenario", "chsh", "--mc-trials", "1000", "--seed", "3"),
+    "report_all": ("report", "--all"),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_GOLDENS)
+def test_text_output_matches_golden(name, capsys):
+    assert run_cli(*TEXT_GOLDENS[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
 def test_poincare_linear_x(capsys):
     assert run_cli("poincare", "--alpha-x", "1", "--alpha-y", "0") == 0
     out = capsys.readouterr().out
@@ -322,6 +337,38 @@ def test_non_finite_input_exits_1(argv, capsys):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert "expected a finite number" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("env, argv, message", [
+    (None, ("lhvt", "--scenario", "chsh", "--mc-trials", "10", "--seed", "-1"),
+     "expected a non-negative integer (--seed, else BELLKIT_SEED), got '-1'"),
+    ("abc", ("lhvt", "--scenario", "chsh", "--mc-trials", "10"),
+     "expected a non-negative integer (--seed, else BELLKIT_SEED), got 'abc'"),
+    ("-3", ("lhvt", "--scenario", "chsh", "--mc-trials", "10"),
+     "expected a non-negative integer (--seed, else BELLKIT_SEED), got '-3'"),
+    (None, ("rotate", "--spin", "half", "--euler", "0", "0", "0",
+            "--state", "1e308", "0", "1e308", "0"), "|amps|^2 overflows"),
+    (None, ("rotate", "--spin", "one", "--euler", "0", "0", "0",
+            "--state", "1e154", "0", "1e154", "0", "0", "0"), "|amps|^2 overflows"),
+    (None, ("lhvt", "--scenario", "grid30", "--angles", "0", "1", "2", "3", "--mc-trials", "5"),
+     "apply only to --scenario chsh"),
+    (None, ("lhvt", "--scenario", "hardy", "--angles", "0", "1", "2", "3"),
+     "apply only to --scenario chsh"),
+    (None, ("lhvt", "--scenario", "ghz", "--mc-trials", "5"), "apply only to --scenario chsh"),
+], ids=["seed-flag", "seed-env-text", "seed-env-negative", "state-overflow",
+        "state-sum-overflow", "grid30-chsh-options", "hardy-angles", "ghz-trials"])
+def test_bad_input_exits_1_before_any_output(env, argv, message, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("BELLKIT_SEED", env)
+    try:
+        rc = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad flag values itself
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellkit import lhvt
+from bellkit import experiments, lhvt
 from bellkit.lhvt import PASS, STOP
 
 SEED = 20260823
@@ -182,7 +182,16 @@ def test_ghz_stage_counts():
     assert len(stages.all_strategies) == 64
     assert len(stages.after_case_a) == 32
     assert len(stages.feasible) == 0
-    assert lhvt.ghz_feasible_set() == []
+
+
+@pytest.mark.parametrize("case", "ABCD")
+def test_ghz_forbidden_outcomes_are_the_wrong_parity(case):
+    # the GHZ filter eliminates quantum zeros; for the quoted cases those are
+    # exactly the outcomes whose detect count has the wrong parity
+    gp = experiments.ghz_parity_distribution(case)
+    want = 0 if gp.certain_parity == "even" else 1
+    for labels, p in gp.distribution.outcomes:
+        assert (p <= lhvt.ZERO_TOL) == (labels.count("pass") % 2 != want)
 
 
 def test_ghz_after_case_a_parity():
