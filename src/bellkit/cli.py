@@ -5,6 +5,8 @@ library call.  Tables round to six decimals; JSON keeps full float precision
 and serializes deterministically (sorted keys), so identical invocations are
 byte-identical.  Exit codes: 0 success, 1 usage/input error, 2 internal check
 failure.  BELLKIT_SEED overrides the Monte-Carlo seed when --seed is absent.
+The argument parser is built by the first main() call and reused by later
+calls in the same process; BELLKIT_SEED is still read on every call.
 
 Each scenario is one function in the SCENARIOS table, in report order, that
 computes its numbers once into one RunReport: the JSON fields, the two table
@@ -17,6 +19,7 @@ its input before it prints anything.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -259,10 +262,9 @@ def _optimizers(bound: lhvt.ClassicalBound) -> dict:
 
 
 def _grid30() -> RunReport:
-    spec = lhvt.grid30_scenario()
     bound = lhvt.max_agreement_30grid()
     quantum = experiments.entangled_pair_distribution(0.0, math.radians(30.0)).agreement()
-    zero = sum(1 for t in bound.candidates if lhvt.agreement_fraction(spec, t) == 0)
+    zero = bound.scores.count(0)
     return _against_bound("grid30", "agreement_delta30", quantum, bound, _optimizers(bound), (
         "scenario grid30: shared card, 12 settings, second analyzer +30deg",
         f"strategies: {len(bound.candidates)}",
@@ -300,7 +302,7 @@ def _hardy() -> RunReport:
 
 def _ghz() -> RunReport:
     stages = lhvt.ghz_elimination_stages()
-    parities = {c: experiments.ghz_parity_distribution(c).certain_parity for c in "ABCD"}
+    parities = {c: case.certain_parity for c, case in zip("ABCD", stages.cases)}
     ok = len(stages.feasible) == 0 and all(p is not None for p in parities.values())
     verdict = VIOLATION if ok else CONSISTENT
     classical = {
@@ -344,7 +346,8 @@ def _chsh(angles=None, mc_trials: int = 0, seed: int = 0) -> RunReport:
         raise UsageError(f"--angles: {exc}") from exc
     rads = [math.radians(a) for a in angles]
     corr = experiments.chsh_correlations(*rads)
-    gamma = experiments.chsh_quantum(*rads)
+    e11, e12, e21, e22 = corr
+    gamma = e11 + e12 + e21 - e22  # as experiments.chsh_quantum sums them
     verdict = VIOLATION if abs(gamma) > 2.0 + VERDICT_MARGIN else CONSISTENT
     lines = [
         "scenario chsh: two settings per party",
@@ -402,8 +405,15 @@ SCENARIOS = {
 # --- lhvt -------------------------------------------------------------------
 
 
+class _FromEnv(str):
+    """--seed's default: _seed reads BELLKIT_SEED in its place each time a
+    command line is parsed, so a parser built once never holds a stale seed."""
+
+
 def _seed(text: str) -> int:
     """argparse type: a Monte-Carlo seed, which is a non-negative integer."""
+    if isinstance(text, _FromEnv):
+        text = os.environ.get("BELLKIT_SEED", "0")
     try:
         value = int(text)
     except ValueError:
@@ -488,8 +498,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-trials", type=int, default=0,
                    help="chsh only: sample a uniform strategy mixture this many times "
                         f"(at most {lhvt.MAX_MC_TRIALS})")
-    # A string default goes through type too, so BELLKIT_SEED is checked here.
-    p.add_argument("--seed", type=_seed, default=os.environ.get("BELLKIT_SEED", "0"),
+    # A string default goes through type too, so BELLKIT_SEED is read and
+    # checked here, on every parse.
+    p.add_argument("--seed", type=_seed, default=_FromEnv("BELLKIT_SEED"),
                    help="Monte-Carlo seed (default: BELLKIT_SEED or 0)")
     p.set_defaults(func=cmd_lhvt)
 
@@ -518,9 +529,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses: built on the first call, then reused."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -14,10 +14,13 @@ most significant bit first, a 0 bit meaning +1, so rows come in lexicographic
 order with +1 before -1.  Columns fixed by the 90-degree flip rule or by
 identical/opposite cards are signed copies of free columns.  The +/-1
 invariant is checked once per card array, not once per strategy.  Mixtures
-and samples gather run columns from the array; StrategyTable objects are built
-only for callers that score strategies one at a time.  At most
-MAX_STRATEGIES = 2**16 strategies are enumerated; larger spaces are refused
-before any array is allocated.
+and samples gather run columns from the array.  The canonical two-party
+bounds (grid30, grid120, electron, CHSH) are scored from its run-product
+matrix in one integer pass; StrategyTable objects are built for the
+candidates and optimizers a bound reports, and for callers that score
+strategies one at a time (_extremize).  At most MAX_STRATEGIES = 2**16
+strategies are enumerated; larger spaces are refused before any array is
+allocated.
 """
 
 from __future__ import annotations
@@ -130,13 +133,16 @@ class ClassicalBound:
     Mixtures cannot beat it: the figure of merit is an average of per-run
     scores, so it is affine in the mixing weights and extremized at a vertex.
     candidates lists the strategies the extremum ranges over, in enumeration
-    order: the whole space, or the strategies a filter let through.
+    order: the whole space, or the strategies a filter let through.  scores
+    holds each candidate's figure of merit, in the same order, for bounds
+    scored as an array; it is empty for bounds scored one table at a time.
     """
 
     value: Fraction
     direction: str
     optimizers: tuple[StrategyTable, ...]
     candidates: tuple[StrategyTable, ...] = field(default=(), repr=False)
+    scores: tuple[Fraction, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.direction not in ("max", "min"):
@@ -311,22 +317,47 @@ def _extremize(spec, score, direction) -> ClassicalBound:
     return ClassicalBound(best, direction, optimizers, tuple(tables))
 
 
+def _array_bound(
+    tables, numerators: np.ndarray, denominator: int, direction: str
+) -> ClassicalBound:
+    """The bound over tables whose figures of merit are numerators / denominator,
+    one integer per table in enumeration order.  The best is taken on the
+    integers, the optimizers keep enumeration order, and each distinct
+    Fraction is built once."""
+    values = numerators.tolist()
+    best = max(values) if direction == "max" else min(values)
+    fractions = {n: Fraction(n, denominator) for n in set(values)}
+    optimizers = tuple(tables[i] for i in np.flatnonzero(numerators == best).tolist())
+    return ClassicalBound(
+        fractions[best], direction, optimizers, tuple(tables), tuple(fractions[n] for n in values)
+    )
+
+
+def _pair_bound(spec: ScenarioSpec, figure: str, direction: str) -> ClassicalBound:
+    """Two-party agreement or antiparallel bound, the same as _extremize with
+    agreement_fraction or antiparallel_fraction, scored in one integer pass: a
+    strategy whose run products sum to s agrees on (runs + s) / 2 runs and
+    answers oppositely on (runs - s) / 2."""
+    cards = _cards(spec)
+    runs = len(spec.runs)
+    sums = _run_products(spec, cards).sum(axis=1, dtype=np.int64)
+    hits = (runs + sums if figure == "agreement" else runs - sums) // 2
+    return _array_bound(_tables(spec, cards), hits, runs, direction)
+
+
 def max_agreement_30grid() -> ClassicalBound:
     """Largest average agreement any shared 30-degree-grid card can reach."""
-    spec = grid30_scenario()
-    return _extremize(spec, lambda t: agreement_fraction(spec, t), "max")
+    return _pair_bound(grid30_scenario(), "agreement", "max")
 
 
 def min_agreement_120grid() -> ClassicalBound:
     """Smallest average agreement any shared 120-degree-grid card can reach."""
-    spec = grid120_scenario()
-    return _extremize(spec, lambda t: agreement_fraction(spec, t), "min")
+    return _pair_bound(grid120_scenario(), "agreement", "min")
 
 
 def min_antiparallel_electron() -> ClassicalBound:
     """Smallest fraction of antiparallel outcomes over the unequal-setting runs."""
-    spec = electron_scenario()
-    return _extremize(spec, lambda t: antiparallel_fraction(spec, t), "min")
+    return _pair_bound(electron_scenario(), "antiparallel", "min")
 
 
 def _quantum_zeros(distributions) -> list[tuple[int, tuple[int, ...]]]:
@@ -400,11 +431,13 @@ def hardy_passpass_bound() -> ClassicalBound:
 
 @dataclass(frozen=True)
 class GhzStages:
-    """Strategy counts as the parity constraints are applied one case at a time."""
+    """Strategy counts as the parity constraints are applied one case at a
+    time, and the four quantum cases A-D the constraints were read from."""
 
     all_strategies: tuple[StrategyTable, ...]
     after_case_a: tuple[StrategyTable, ...]
     feasible: tuple[StrategyTable, ...]
+    cases: tuple[experiments.GhzParity, ...]
 
 
 def ghz_elimination_stages() -> GhzStages:
@@ -423,6 +456,7 @@ def ghz_elimination_stages() -> GhzStages:
         tuple(tables),
         tuple(t for t, hit in zip(tables, after_a) if not hit),
         tuple(t for t, hit in zip(tables, anywhere) if not hit),
+        tuple(cases),
     )
 
 
@@ -448,20 +482,21 @@ def chsh_gamma(spec: ScenarioSpec, table: StrategyTable) -> int:
 def chsh_classical(
     theta1_deg: float, theta1p_deg: float, theta2_deg: float, theta2p_deg: float
 ) -> ChshClassical:
-    """Enumerate the 16 strategies; every combination value is +2 or -2."""
+    """Score the 16 strategies from their run products, as chsh_gamma would;
+    every combination value is +2 or -2."""
     spec = chsh_scenario(theta1_deg, theta1p_deg, theta2_deg, theta2p_deg)
-    tables = enumerate_strategies(spec)
-    gammas = tuple(chsh_gamma(spec, t) for t in tables)
-    for g in gammas:
+    cards = _cards(spec)
+    gammas = _run_products(spec, cards) @ np.array([1, 1, 1, -1])
+    values = tuple(gammas.tolist())
+    for g in values:
         if g not in (2, -2):
             raise RuntimeError(f"deterministic combination {g} escaped +/-2")
-    maxers = tuple(t for t, g in zip(tables, gammas) if g == 2)
-    miners = tuple(t for t, g in zip(tables, gammas) if g == -2)
+    tables = _tables(spec, cards)
     return ChshClassical(
         spec,
-        gammas,
-        ClassicalBound(Fraction(2), "max", maxers, tuple(tables)),
-        ClassicalBound(Fraction(-2), "min", miners, tuple(tables)),
+        values,
+        _array_bound(tables, gammas, 1, "max"),
+        _array_bound(tables, gammas, 1, "min"),
     )
 
 
@@ -494,13 +529,16 @@ def _checked_weights(weights, n: int) -> np.ndarray:
     return w / total
 
 
+def _run_products(spec: ScenarioSpec, cards: np.ndarray) -> np.ndarray:
+    """Outcome product of every strategy on every run, +/-1 int8, shape (strategies, runs)."""
+    return np.prod(cards[:, _run_columns(spec)], axis=2, dtype=np.int8)
+
+
 def _product_matrix(spec: ScenarioSpec) -> np.ndarray:
-    """Outcome product of every strategy on every run, shape (strategies, runs)."""
-    cards = _cards(spec)
-    columns = _run_columns(spec)
+    """_run_products as floats, for mixtures and samples."""
     # C order, as a matrix built row by row: the mixture matmul then sums in
     # the same order and gives the same bits.
-    return np.prod(cards[:, columns], axis=2, dtype=np.int8).astype(float, order="C")
+    return _run_products(spec, _cards(spec)).astype(float, order="C")
 
 
 @dataclass(frozen=True)

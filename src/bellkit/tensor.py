@@ -117,11 +117,6 @@ def apply(op: MatrixOperator, state: StateVector) -> StateVector:
     return StateVector(op.entries @ state.amps, state.labels)
 
 
-def relabel(state: StateVector, labels) -> StateVector:
-    """Same amplitudes, new basis labels (after a basis re-expression)."""
-    return StateVector(state.amps, tuple(labels))
-
-
 def probability(state: StateVector, index: int) -> float:
     """Born probability |amps[index]|^2, clamped so -1e-15 <= p < 0 reads as 0."""
     if not 0 <= index < state.dim:

@@ -186,12 +186,79 @@ def test_lhvt_chsh_monte_carlo_seeded(capsys):
 
 
 def test_lhvt_chsh_seed_env(monkeypatch, capsys):
+    # main() reuses one parser, but reads BELLKIT_SEED on every call
+    args = ("lhvt", "--scenario", "chsh", "--mc-trials", "400")
     monkeypatch.setenv("BELLKIT_SEED", "5")
-    assert run_cli("lhvt", "--scenario", "chsh", "--mc-trials", "400") == 0
+    assert run_cli(*args) == 0
     via_env = capsys.readouterr().out
+    monkeypatch.setenv("BELLKIT_SEED", "7")
+    assert run_cli(*args) == 0
+    via_env7 = capsys.readouterr().out
     monkeypatch.delenv("BELLKIT_SEED")
-    assert run_cli("lhvt", "--scenario", "chsh", "--mc-trials", "400", "--seed", "5") == 0
+    assert run_cli(*args, "--seed", "5") == 0
     assert capsys.readouterr().out == via_env
+    assert run_cli(*args, "--seed", "7") == 0
+    assert capsys.readouterr().out == via_env7 != via_env
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.make_parser()
+    per_parser = len(built)  # the top-level parser and one per command
+    built.clear()
+    cli._parser.cache_clear()
+    try:
+        assert run_cli("pair") == 0
+        assert run_cli("lhvt", "--scenario", "electron") == 0
+    finally:
+        cli._parser.cache_clear()
+    assert per_parser > 1
+    assert len(built) == per_parser
+
+
+def test_bad_bellkit_seed_after_a_good_one_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("BELLKIT_SEED", "5")
+    assert run_cli("lhvt", "--scenario", "electron") == 0
+    capsys.readouterr()
+    monkeypatch.setenv("BELLKIT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lhvt", "--scenario", "electron"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "expected a non-negative integer (--seed, else BELLKIT_SEED), got 'abc'" in captured.err
+    assert captured.out == ""
+
+
+def _counting(monkeypatch, module, name) -> list:
+    """Replace module.name with a wrapper that records each call."""
+    calls, fn = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_ghz_reads_each_case_once(monkeypatch):
+    calls = _counting(monkeypatch, experiments, "ghz_parity_distribution")
+    cli.build_report()
+    assert sorted(calls) == [("A",), ("B",), ("C",), ("D",)]
+
+
+def test_chsh_reads_its_correlations_once(monkeypatch, capsys):
+    calls = _counting(monkeypatch, experiments, "_born_rows")
+    assert run_cli("lhvt", "--scenario", "chsh") == 0
+    assert len(calls) == 1
+    assert f"quantum combination = {2 * math.sqrt(2):.6f}" in capsys.readouterr().out
 
 
 def test_lhvt_chsh_negative_trials(capsys):

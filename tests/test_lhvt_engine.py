@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellkit import lhvt
+from bellkit import experiments, lhvt
 from bellkit.lhvt import PASS, STOP, StrategyTable
 
 SEED = 20261018
@@ -176,3 +176,59 @@ def test_engine_run_outcomes_match_reference():
         for t in lhvt.enumerate_strategies(spec):
             for run in spec.runs:
                 assert lhvt.run_outcomes(spec, t, run) == reference_run_outcomes(spec, t, run)
+
+
+# --- the array scorer against per-table scoring --------------------------------
+
+FIGURES = {"agreement": lhvt.agreement_fraction, "antiparallel": lhvt.antiparallel_fraction}
+
+
+def chsh_fraction(spec, table) -> Fraction:
+    return Fraction(lhvt.chsh_gamma(spec, table))
+
+
+def assert_same_bound(bound, spec, fraction, direction):
+    reference = lhvt._extremize(spec, lambda t: fraction(spec, t), direction)
+    assert type(bound.value) is Fraction and bound.value == reference.value
+    assert bound.direction == direction
+    assert bound.optimizers == reference.optimizers
+    assert bound.candidates == reference.candidates
+    assert bound.scores == tuple(fraction(spec, t) for t in reference.candidates)
+
+
+@pytest.mark.parametrize("bound, scenario, figure", [
+    (lhvt.max_agreement_30grid, lhvt.grid30_scenario, "agreement"),
+    (lhvt.min_agreement_120grid, lhvt.grid120_scenario, "agreement"),
+    (lhvt.min_antiparallel_electron, lhvt.electron_scenario, "antiparallel"),
+], ids=["grid30", "grid120", "electron"])
+def test_canonical_bounds_match_per_table_scoring(bound, scenario, figure):
+    result = bound()
+    assert_same_bound(result, scenario(), FIGURES[figure], result.direction)
+
+
+@pytest.mark.parametrize("index", [i for i, s in enumerate(SPECS) if s.parties == 2])
+def test_array_scorer_matches_per_table_scoring(index):
+    spec = SPECS[index]
+    for figure, fraction in FIGURES.items():
+        for direction in ("max", "min"):
+            bound = lhvt._pair_bound(spec, figure, direction)
+            assert_same_bound(bound, spec, fraction, direction)
+
+
+CHSH_ANGLES = [
+    tuple(math.degrees(a) for a in experiments.CHSH_PHOTON_SETTINGS),
+    tuple(math.degrees(a) for a in experiments.CHSH_ELECTRON_SETTINGS),
+    *(tuple(float(a) for a in random.Random(SEED + k).sample(range(180), 4)) for k in range(20)),
+]
+
+
+@pytest.mark.parametrize("angles", CHSH_ANGLES)
+def test_chsh_classical_matches_per_table_scoring(angles):
+    classical = lhvt.chsh_classical(*angles)
+    spec = classical.scenario
+    tables = lhvt.enumerate_strategies(spec)
+    assert classical.gammas == tuple(lhvt.chsh_gamma(spec, t) for t in tables)
+    assert all(type(g) is int for g in classical.gammas)
+    for bound, direction in ((classical.max_bound, "max"), (classical.min_bound, "min")):
+        assert_same_bound(bound, spec, chsh_fraction, direction)
+    assert classical.max_bound.value == 2 and classical.min_bound.value == -2
