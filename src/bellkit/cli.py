@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -47,7 +48,13 @@ class InternalCheckError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags by default; this package reserves 2 for
-    internal check failures, so usage problems exit 1 instead."""
+    internal check failures, so usage problems exit 1 instead.  argparse also
+    reads a negative number in scientific notation (-3e1) as a flag; here it
+    is a value, as -30 is.  Subparsers are built from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -286,10 +293,10 @@ def _grid120() -> RunReport:
 
 
 def _hardy() -> RunReport:
-    count = lhvt.strategy_count(lhvt.hardy_scenario())
-    bound = lhvt.hardy_passpass_bound()
+    stages = lhvt.hardy_stages()
+    count, bound = len(stages.all_strategies), stages.bound
     feasible = [card_string(t) for t in bound.candidates]
-    quantum = experiments.hardy_distribution(0.0, 0.0).probability_of("pass", "pass")
+    quantum = stages.runs[0].probability_of("pass", "pass")
     classical = {"strategy_count": count, "feasible_count": len(feasible), "feasible": feasible}
     return _against_bound("hardy", "pass_pass_at_00", quantum, bound, classical, (
         "scenario hardy: independent cards at {0,45}deg",

@@ -2,7 +2,10 @@
 two-electron singlet experiments, each computed by rotating the shared state
 into the analyzer bases (never by substituting a closed-form answer).
 
-Angles are radians.  Outcomes carry +1 for pass / spin-up and -1 otherwise.
+Angles are radians.  Outcomes are +1 (pass / spin-up) and -1 (stop / spin-down).
+An OutcomeDistribution holds one probability row in itertools.product((+1, -1))
+order over the parties, and every figure is a sum over those signs; the
+carrier's labels exist only in the views outcomes and probability_of.
 
 The shared states (and the photon basis they are built from) are constants:
 each is built and validated once, on first use, and the same frozen
@@ -70,21 +73,42 @@ class AnalyzerSetting:
     angle: float
 
 
+@functools.cache
+def _joint(values: tuple, parties: int) -> tuple[tuple, ...]:
+    """Every joint outcome over the per-party values, in row order."""
+    return tuple(itertools.product(values, repeat=parties))
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities for every joint outcome of one run, in a fixed order."""
+    """Probabilities of every joint +/-1 outcome of one run: probabilities[i]
+    belongs to signs[i].  labels names the carrier's +1 and -1 outcomes for the
+    labeled views, outcomes and probability_of."""
 
     settings: tuple[AnalyzerSetting, ...]
-    outcomes: tuple[tuple[tuple[str, ...], float], ...]
+    probabilities: tuple[float, ...]
+    labels: tuple[str, str]
 
     def __post_init__(self):
+        if len(self.probabilities) != 2 ** len(self.settings):
+            raise ValueError(f"expected {2 ** len(self.settings)} probabilities")
+        if len(self.labels) != 2 or self.labels[0] == self.labels[1]:
+            raise ValueError(f"labels must name two distinct outcomes; got {self.labels!r}")
         total = 0.0
-        for labels, p in self.outcomes:
+        for p in self.probabilities:
             if not p >= 0.0:
-                raise ValueError(f"negative or undefined probability {p!r} for {labels}")
+                raise ValueError(f"negative or undefined probability {p!r}")
             total += p
         if not abs(total - 1.0) <= tensor.TOL_NORM:
             raise ValueError(f"probabilities sum to {total!r}")
+
+    @property
+    def signs(self) -> tuple[tuple[int, ...], ...]:
+        return _joint((1, -1), len(self.settings))
+
+    @property
+    def outcomes(self) -> tuple[tuple[tuple[str, ...], float], ...]:
+        return tuple(zip(_joint(self.labels, len(self.settings)), self.probabilities))
 
     def probability_of(self, *labels: str) -> float:
         for row, p in self.outcomes:
@@ -94,23 +118,17 @@ class OutcomeDistribution:
 
     def agreement(self) -> float:
         """Probability that every party reports the same outcome."""
-        return sum(p for row, p in self.outcomes if len(set(row)) == 1)
+        return sum(p for signs, p in zip(self.signs, self.probabilities) if len(set(signs)) == 1)
 
     def antiparallel(self) -> float:
         """Two-party probability that the outcomes differ."""
         if len(self.settings) != 2:
             raise ValueError("antiparallel() needs a two-party distribution")
-        return sum(p for row, p in self.outcomes if row[0] != row[1])
+        return sum(p for (a, b), p in zip(self.signs, self.probabilities) if a != b)
 
     def correlation(self) -> float:
         """Expected product of the +/-1 outcome values."""
-        total = 0.0
-        for row, p in self.outcomes:
-            sign = 1
-            for label in row:
-                sign *= 1 if label in (PHOTON_OUTCOMES[0], ELECTRON_OUTCOMES[0]) else -1
-            total += sign * p
-        return total
+        return sum(math.prod(signs) * p for signs, p in zip(self.signs, self.probabilities))
 
 
 # --- edge checks and the batched readout core ---------------------------------
@@ -159,8 +177,12 @@ def _born_rows(state: StateVector, angles, plus: tuple[int, ...]) -> list[list[f
 
 def _distribution(row: list[float], angles, outcome_labels) -> OutcomeDistribution:
     settings = tuple(AnalyzerSetting(p + 1, a) for p, a in enumerate(angles))
-    labels = itertools.product(outcome_labels, repeat=len(angles))
-    return OutcomeDistribution(settings, tuple(zip(labels, row)))
+    return OutcomeDistribution(settings, tuple(row), outcome_labels)
+
+
+def _correlations(rows, runs, labels) -> list[float]:
+    """The correlation of each row's distribution; runs[k] holds row k's angles."""
+    return [_distribution(row, run, labels).correlation() for row, run in zip(rows, runs)]
 
 
 # --- shared states --------------------------------------------------------------
@@ -247,11 +269,7 @@ def pair_correlations(theta1s, theta2s) -> list[float]:
     if len(theta1s) != len(theta2s):
         raise ValueError(f"{len(theta1s)} party-1 angles for {len(theta2s)} party-2 angles")
     _check_finite(*theta1s, *theta2s)
-    rows = _pair_rows(theta1s, theta2s)
-    return [
-        _distribution(row, run, PHOTON_OUTCOMES).correlation()
-        for row, run in zip(rows, zip(theta1s, theta2s))
-    ]
+    return _correlations(_pair_rows(theta1s, theta2s), zip(theta1s, theta2s), PHOTON_OUTCOMES)
 
 
 # --- Hardy pair -----------------------------------------------------------------
@@ -305,8 +323,8 @@ def ghz_parity_distribution(case: str) -> GhzParity:
     angles = GHZ_CASES[case]
     (row,) = _born_rows(ghz_state(), tuple([a] for a in angles), (0, 0, 0))
     dist = _distribution(row, angles, PHOTON_OUTCOMES)
-    p_even = sum(p for row, p in dist.outcomes if row.count("pass") % 2 == 0)
-    p_odd = sum(p for row, p in dist.outcomes if row.count("pass") % 2 == 1)
+    p_even = sum(p for signs, p in zip(dist.signs, row) if signs.count(1) % 2 == 0)
+    p_odd = sum(p for signs, p in zip(dist.signs, row) if signs.count(1) % 2 == 1)
     return GhzParity(dist, p_even, p_odd)
 
 
@@ -348,11 +366,7 @@ def chsh_correlations(
     _check_finite(theta1, theta1p, theta2, theta2p)
     rows_of, labels = _CHSH_CARRIERS[system]
     firsts, seconds = (theta1, theta1, theta1p, theta1p), (theta2, theta2p, theta2, theta2p)
-    rows = rows_of(firsts, seconds)
-    e11, e12, e21, e22 = (
-        _distribution(row, run, labels).correlation()
-        for row, run in zip(rows, zip(firsts, seconds))
-    )
+    e11, e12, e21, e22 = _correlations(rows_of(firsts, seconds), zip(firsts, seconds), labels)
     return e11, e12, e21, e22
 
 

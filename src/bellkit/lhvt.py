@@ -16,7 +16,8 @@ identical/opposite cards are signed copies of free columns.  The +/-1
 invariant is checked once per card array, not once per strategy.  Mixtures
 and samples gather run columns from the array.  The canonical two-party
 bounds (grid30, grid120, electron, CHSH) are scored from its run-product
-matrix in one integer pass; StrategyTable objects are built for the
+matrix in one integer pass, and Hardy's pass/pass from the run answers its
+zero filter gathered; StrategyTable objects are built for the
 candidates and optimizers a bound reports, and for callers that score
 strategies one at a time (_extremize).  At most MAX_STRATEGIES = 2**16
 strategies are enumerated; larger spaces are refused before any array is
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import getitem
 
 import numpy as np
@@ -362,71 +363,79 @@ def min_antiparallel_electron() -> ClassicalBound:
 
 def _quantum_zeros(distributions) -> list[tuple[int, tuple[int, ...]]]:
     """(r, +/-1 joint outcome) for each outcome with probability at most
-    ZERO_TOL in distributions[r], read in itertools.product((+1, -1)) order."""
+    ZERO_TOL in distributions[r], in the distribution's row order."""
     return [
         (r, signs)
         for r, dist in enumerate(distributions)
-        for signs, (_, p) in zip(product((PASS, STOP), repeat=len(dist.settings)), dist.outcomes)
+        for signs, p in zip(dist.signs, dist.probabilities)
         if p <= ZERO_TOL
     ]
 
 
-def _forbidden(spec: ScenarioSpec, distributions) -> tuple[list[StrategyTable], np.ndarray]:
-    """Every strategy, and a (strategies, runs) mask: True where the strategy
-    would produce an outcome the run's quantum distribution forbids.  Hardy's
-    zeros and the GHZ parities both eliminate strategies by this mask."""
+def _forbidden(spec: ScenarioSpec, distributions):
+    """Every strategy, its +/-1 answers on every run (shape (strategies, runs,
+    parties)), and a (strategies, runs) mask: True where the strategy would
+    produce an outcome the run's quantum distribution forbids.  Hardy's zeros
+    and the GHZ parities both eliminate strategies by this mask."""
     cards = _cards(spec)
     answers = cards[:, _run_columns(spec)]
     forbidden = np.zeros(answers.shape[:2], dtype=bool)
     for r, signs in _quantum_zeros(distributions):
         forbidden[:, r] |= (answers[:, r] == signs).all(axis=1)
-    return _tables(spec, cards), forbidden
+    return _tables(spec, cards), answers, forbidden
 
 
-def _hardy_distributions(spec: ScenarioSpec):
-    return [experiments.hardy_distribution(*(math.radians(a) for a in run)) for run in spec.runs]
+@dataclass(frozen=True)
+class HardyStages:
+    """Every Hardy card pair; for each, the case letters whose forbidden
+    outcome it would produce; the pass/pass bound at (0,0) over the pairs that
+    produce none (its candidates); and the quantum runs A-D the zeros were
+    read from."""
+
+    all_strategies: tuple[StrategyTable, ...]
+    eliminated_by: tuple[frozenset[str], ...]
+    bound: ClassicalBound
+    runs: tuple[experiments.OutcomeDistribution, ...]
+
+
+def hardy_stages() -> HardyStages:
+    """Eliminate every card pair that would produce an outcome a Hardy run
+    forbids, then bound pass/pass (both answers +1) at (0,0) over the rest."""
+    spec = hardy_scenario()
+    runs = tuple(
+        experiments.hardy_distribution(*(math.radians(a) for a in run)) for run in spec.runs
+    )
+    tables, answers, forbidden = _forbidden(spec, runs)
+    feasible = np.flatnonzero(~forbidden.any(axis=1))
+    passpass = (answers[feasible, 0] == PASS).all(axis=1).astype(np.int64)
+    bound = _array_bound([tables[i] for i in feasible.tolist()], passpass, 1, "max")
+    letters = [frozenset(c for c, hit in zip("ABCD", row) if hit) for row in forbidden.tolist()]
+    return HardyStages(tuple(tables), tuple(letters), bound, runs)
 
 
 def hardy_constraints() -> list[tuple[tuple[float, float], tuple[int, ...], str]]:
     """Joint outcomes the quantum Hardy distribution forbids, as (run, outcome
     signs, case letter); read off the computed distributions, not transcribed."""
-    spec = hardy_scenario()
-    return [
-        (spec.runs[r], signs, "ABCD"[r])
-        for r, signs in _quantum_zeros(_hardy_distributions(spec))
-    ]
+    runs = hardy_scenario().runs
+    return [(runs[r], signs, "ABCD"[r]) for r, signs in _quantum_zeros(hardy_stages().runs)]
 
 
 def hardy_elimination() -> dict[tuple[tuple[int, ...], tuple[int, ...]], frozenset[str]]:
     """For every pair of cards, the set of case letters whose forbidden outcome
     that strategy would produce (empty set = strategy survives)."""
-    spec = hardy_scenario()
-    tables, forbidden = _forbidden(spec, _hardy_distributions(spec))
-    return {
-        t.outcomes: frozenset(letter for letter, hit in zip("ABCD", row) if hit)
-        for t, row in zip(tables, forbidden.tolist())
-    }
+    stages = hardy_stages()
+    return {t.outcomes: hit for t, hit in zip(stages.all_strategies, stages.eliminated_by)}
 
 
 def hardy_feasible_set() -> list[StrategyTable]:
     """Card pairs consistent with every zero of the quantum Hardy distribution."""
-    spec = hardy_scenario()
-    tables, forbidden = _forbidden(spec, _hardy_distributions(spec))
-    return [t for t, hit in zip(tables, forbidden.any(axis=1).tolist()) if not hit]
+    return list(hardy_stages().bound.candidates)
 
 
 def hardy_passpass_bound() -> ClassicalBound:
     """Ceiling on pass/pass at the (0,0) setting over the feasible cards (its
     candidates); the quantum value there is strictly positive."""
-    spec = hardy_scenario()
-    feasible = tuple(hardy_feasible_set())
-    run = spec.runs[0]
-    scores = [
-        Fraction(1 if run_outcomes(spec, t, run) == (PASS, PASS) else 0) for t in feasible
-    ]
-    best = max(scores)
-    optimizers = tuple(t for t, s in zip(feasible, scores) if s == best)
-    return ClassicalBound(best, "max", optimizers, feasible)
+    return hardy_stages().bound
 
 
 @dataclass(frozen=True)
@@ -449,7 +458,7 @@ def ghz_elimination_stages() -> GhzStages:
     for letter, case in zip("ABCD", cases):
         if case.certain_parity is None:
             raise RuntimeError(f"case {letter} has no certain parity; nothing to filter on")
-    tables, forbidden = _forbidden(spec, [case.distribution for case in cases])
+    tables, _, forbidden = _forbidden(spec, [case.distribution for case in cases])
     after_a = forbidden[:, 0].tolist()
     anywhere = forbidden.any(axis=1).tolist()
     return GhzStages(

@@ -254,6 +254,20 @@ def test_ghz_reads_each_case_once(monkeypatch):
     assert sorted(calls) == [("A",), ("B",), ("C",), ("D",)]
 
 
+def test_hardy_builds_its_scenario_once(monkeypatch):
+    calls = _counting(monkeypatch, lhvt, "hardy_scenario")
+    cli.build_report()
+    assert len(calls) == 1
+
+
+def test_hardy_reads_each_run_once(monkeypatch):
+    # pass/pass at (0,0) is read off the run the bound already read
+    calls = _counting(monkeypatch, experiments, "hardy_distribution")
+    cli.build_report()
+    runs = [tuple(math.radians(a) for a in run) for run in lhvt.hardy_scenario().runs]
+    assert calls == runs
+
+
 def test_chsh_reads_its_correlations_once(monkeypatch, capsys):
     calls = _counting(monkeypatch, experiments, "_born_rows")
     assert run_cli("lhvt", "--scenario", "chsh") == 0
@@ -361,15 +375,7 @@ def test_report_numbers_come_from_the_library(monkeypatch, capsys):
     # monkeypatching the pair distribution must change the report, proving the
     # report recomputes rather than echoing stored constants
     settings = (experiments.AnalyzerSetting(1, 0.0), experiments.AnalyzerSetting(2, 0.0))
-    flat = experiments.OutcomeDistribution(
-        settings,
-        (
-            (("pass", "pass"), 0.25),
-            (("pass", "stop"), 0.25),
-            (("stop", "pass"), 0.25),
-            (("stop", "stop"), 0.25),
-        ),
-    )
+    flat = experiments.OutcomeDistribution(settings, (0.25,) * 4, experiments.PHOTON_OUTCOMES)
     monkeypatch.setattr(experiments, "entangled_pair_distribution", lambda t1, t2: flat)
     assert run_cli("report", "--all", "--format", "json") == 0
     data = json.loads(capsys.readouterr().out)
@@ -436,6 +442,36 @@ def test_bad_input_exits_1_before_any_output(env, argv, message, monkeypatch, ca
     captured = capsys.readouterr()
     assert rc == 1
     assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("scientific, plain", [
+    (("pair", "--theta1", "10", "--theta2", "-3e1"),
+     ("pair", "--theta1", "10", "--theta2", "-30")),
+    (("lhvt", "--scenario", "chsh", "--angles", "0", "-4.5e1", "45", "90"),
+     ("lhvt", "--scenario", "chsh", "--angles", "0", "-45", "45", "90")),
+    (("rotate", "--spin", "half", "--euler", "0", "0", "0", "--state", "1", "0", "-1e-3", "0"),
+     ("rotate", "--spin", "half", "--euler", "0", "0", "0", "--state", "1", "0", "-0.001", "0")),
+], ids=["pair", "lhvt-angles", "rotate-state"])
+def test_negative_scientific_numbers_are_values(scientific, plain, capsys):
+    assert run_cli(*plain) == 0
+    want = capsys.readouterr().out
+    assert run_cli(*scientific) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("pair", "--theta2", "-inf"),
+    ("pair", "--theta2", "-nan"),
+    ("lhvt", "--scenario", "chsh", "--angles", "0", "-inf", "45", "90"),
+    ("rotate", "--spin", "half", "--euler", "0", "-nan", "0"),
+])
+def test_negative_non_finite_numbers_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -168,11 +168,52 @@ def test_chsh_never_exceeds_quantum_bound():
 def test_distribution_guards():
     settings = (ex.AnalyzerSetting(1, 0.0), ex.AnalyzerSetting(2, 0.0))
     with pytest.raises(ValueError):
-        ex.OutcomeDistribution(settings, ((("pass", "pass"), 0.5),))
+        ex.OutcomeDistribution(settings, (0.5, 0.0, 0.0, 0.0), ex.PHOTON_OUTCOMES)
     with pytest.raises(ValueError):
-        ex.OutcomeDistribution(settings, ((("pass", "pass"), -0.1), (("stop", "stop"), 1.1)))
+        ex.OutcomeDistribution(settings, (-0.1, 0.0, 0.0, 1.1), ex.PHOTON_OUTCOMES)
     three = ex.ghz_parity_distribution("A").distribution
     with pytest.raises(ValueError):
         three.antiparallel()
     with pytest.raises(KeyError):
         three.probability_of("pass", "pass")
+
+
+def test_probability_row_needs_one_entry_per_joint_outcome():
+    settings = (ex.AnalyzerSetting(1, 0.0), ex.AnalyzerSetting(2, 0.0))
+    with pytest.raises(ValueError):
+        ex.OutcomeDistribution(settings, (1.0,), ex.PHOTON_OUTCOMES)
+    with pytest.raises(ValueError):
+        ex.OutcomeDistribution(settings, (0.25,) * 4 + (0.0,), ex.PHOTON_OUTCOMES)
+
+
+@pytest.mark.parametrize("labels", [("pass",), ("pass", "pass"), ("pass", "stop", "skip")])
+def test_labels_name_two_distinct_outcomes(labels):
+    settings = (ex.AnalyzerSetting(1, 0.0), ex.AnalyzerSetting(2, 0.0))
+    with pytest.raises(ValueError):
+        ex.OutcomeDistribution(settings, (0.25,) * 4, labels)
+
+
+def test_labeled_views_follow_the_signed_row():
+    d = ex.entangled_pair_distribution(0.3, 0.1)
+    assert d.signs == ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    names = {1: "pass", -1: "stop"}
+    assert d.outcomes == tuple(
+        (tuple(names[s] for s in signs), p) for signs, p in zip(d.signs, d.probabilities)
+    )
+    for labels, p in d.outcomes:
+        assert d.probability_of(*labels) == p
+
+
+def test_labels_belong_to_their_carrier():
+    photon = ex.entangled_pair_distribution(0.3, 0.1)
+    electron = ex.electron_singlet_distribution(0.3, 0.1)
+    for e1 in ex.ELECTRON_OUTCOMES:
+        for e2 in ex.ELECTRON_OUTCOMES:
+            with pytest.raises(KeyError):
+                photon.probability_of(e1, e2)
+    for p1 in ex.PHOTON_OUTCOMES:
+        for p2 in ex.PHOTON_OUTCOMES:
+            with pytest.raises(KeyError):
+                electron.probability_of(p1, p2)
+    with pytest.raises(KeyError):
+        photon.probability_of("pass", "↑")

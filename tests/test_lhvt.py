@@ -177,6 +177,21 @@ def test_hardy_survivors_and_passpass_bound():
     assert len(bound.optimizers) == 5
 
 
+def test_hardy_passpass_bound_matches_per_table_reference():
+    spec = lhvt.hardy_scenario()
+    feasible = tuple(lhvt.hardy_feasible_set())
+    scores = tuple(
+        Fraction(1 if lhvt.run_outcomes(spec, t, spec.runs[0]) == (PASS, PASS) else 0)
+        for t in feasible
+    )
+    best = max(scores)
+    bound = lhvt.hardy_passpass_bound()
+    assert (bound.value, bound.direction) == (best, "max")
+    assert bound.optimizers == tuple(t for t, s in zip(feasible, scores) if s == best)
+    assert bound.candidates == feasible
+    assert bound.scores == scores
+
+
 def test_ghz_stage_counts():
     stages = lhvt.ghz_elimination_stages()
     assert len(stages.all_strategies) == 64

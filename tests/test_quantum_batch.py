@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -30,7 +31,31 @@ def ref_rotation(theta: float) -> MatrixOperator:
     return MatrixOperator([[c, s], [-s, c]])
 
 
-def ref_distribution(state, settings, plus_indices, outcome_labels):
+class RefDistribution(NamedTuple):
+    """One run as labeled (outcomes, probability) rows.  Its label-based
+    correlation is the oracle for the library's +/-1 arithmetic."""
+
+    settings: tuple
+    outcomes: tuple
+    labels: tuple
+
+    def correlation(self) -> float:
+        total = 0.0
+        for row, p in self.outcomes:
+            sign = 1
+            for label in row:
+                sign *= 1 if label in ("pass", "↑") else -1
+            total += sign * p
+        return total
+
+    def distribution(self) -> ex.OutcomeDistribution:
+        """The same probabilities through the library's constructor."""
+        return ex.OutcomeDistribution(
+            self.settings, tuple(p for _, p in self.outcomes), self.labels
+        )
+
+
+def ref_distribution(state, settings, plus_indices, outcome_labels) -> RefDistribution:
     rows = []
     for choice in itertools.product((0, 1), repeat=len(plus_indices)):
         index = 0
@@ -39,7 +64,7 @@ def ref_distribution(state, settings, plus_indices, outcome_labels):
             index = 2 * index + local
         labels = tuple(outcome_labels[c] for c in choice)
         rows.append((labels, tensor.probability(state, index)))
-    return ex.OutcomeDistribution(tuple(settings), tuple(rows))
+    return RefDistribution(tuple(settings), tuple(rows), outcome_labels)
 
 
 def ref_basis():
@@ -97,14 +122,18 @@ def ref_singlet(t1, t2):
                             ex.ELECTRON_OUTCOMES)
 
 
-def ref_ghz(case):
+def ref_ghz_distribution(case):
     a = ex.GHZ_CASES[case]
     rot = kron_op(kron_op(ref_rotation(a[0]), ref_rotation(a[1])), ref_rotation(a[2]))
     settings = tuple(ex.AnalyzerSetting(p + 1, x) for p, x in enumerate(a))
-    dist = ref_distribution(apply(rot, ref_ghz_state()), settings, (0, 0, 0), ex.PHOTON_OUTCOMES)
+    return ref_distribution(apply(rot, ref_ghz_state()), settings, (0, 0, 0), ex.PHOTON_OUTCOMES)
+
+
+def ref_ghz(case):
+    dist = ref_ghz_distribution(case)
     p_even = sum(p for row, p in dist.outcomes if row.count("pass") % 2 == 0)
     p_odd = sum(p for row, p in dist.outcomes if row.count("pass") % 2 == 1)
-    return ex.GhzParity(dist, p_even, p_odd)
+    return ex.GhzParity(dist.distribution(), p_even, p_odd)
 
 
 def ref_chsh(t1, t1p, t2, t2p, system):
@@ -148,6 +177,7 @@ def test_two_party_distributions_bit_equal(new, ref):
         got, want = new(a, b), ref(a, b)
         assert got.outcomes == want.outcomes, (a, b)
         assert got.settings == want.settings
+        assert got == want.distribution()
 
 
 def test_quoted_hardy_cases_bit_equal():
@@ -159,6 +189,7 @@ def test_quoted_hardy_cases_bit_equal():
 def test_ghz_cases_bit_equal(case):
     got, want = ex.ghz_parity_distribution(case), ref_ghz(case)
     assert got.distribution == want.distribution
+    assert got.distribution.outcomes == ref_ghz_distribution(case).outcomes
     assert (got.p_even, got.p_odd) == (want.p_even, want.p_odd)
 
 
@@ -290,9 +321,8 @@ def test_non_finite_angles_rejected(bad):
 
 def test_outcome_distribution_rejects_nan():
     settings = _two(0.0, 0.0)
-    nan_row = tuple(((a, b), math.nan) for a in ("pass", "stop") for b in ("pass", "stop"))
     with pytest.raises(ValueError):
-        ex.OutcomeDistribution(settings, nan_row)
+        ex.OutcomeDistribution(settings, (math.nan,) * 4, ex.PHOTON_OUTCOMES)
 
 
 def test_pair_correlations_length_mismatch():
