@@ -27,8 +27,6 @@ import re
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import experiments, lhvt, polarization, spin, tensor
 
 # Margin used when turning a quantum-vs-bound comparison into a verdict.
@@ -167,7 +165,9 @@ def _parse_state(values, dim: int) -> tensor.StateVector:
 
 
 def cmd_rotate(args) -> int:
-    euler = spin.EulerAngles(*(math.radians(a) for a in args.euler))
+    # Reduce by the SU(2) period, 720 degrees, so the closed form's phases stay
+    # consistent at huge angles; fmod is exact and returns |a| < 720 unchanged.
+    euler = spin.EulerAngles(*(math.radians(math.fmod(a, 720.0)) for a in args.euler))
     if args.spin == "half":
         u = spin.euler_rotation_su2(euler)
     else:
@@ -185,13 +185,7 @@ def cmd_rotate(args) -> int:
 
     if args.check:
         failures = []
-        eye = np.eye(u.dim)
-        udev = float(
-            max(
-                np.max(np.abs(u.entries @ u.entries.conj().T - eye)),
-                np.max(np.abs(u.entries.conj().T @ u.entries - eye)),
-            )
-        )
+        udev = tensor.unitarity_deviation(u)
         print(f"check unitarity deviation: {udev:.3e}")
         if udev > tensor.TOL_UNITARY:
             failures.append("unitarity")
@@ -309,7 +303,7 @@ def _hardy() -> RunReport:
 
 def _ghz() -> RunReport:
     stages = lhvt.ghz_elimination_stages()
-    parities = {c: case.certain_parity for c, case in zip("ABCD", stages.cases)}
+    parities = {c: case.certain_parity for c, case in zip(experiments.GHZ_CASES, stages.cases)}
     ok = len(stages.feasible) == 0 and all(p is not None for p in parities.values())
     verdict = VIOLATION if ok else CONSISTENT
     classical = {
@@ -353,8 +347,7 @@ def _chsh(angles=None, mc_trials: int = 0, seed: int = 0) -> RunReport:
         raise UsageError(f"--angles: {exc}") from exc
     rads = [math.radians(a) for a in angles]
     corr = experiments.chsh_correlations(*rads)
-    e11, e12, e21, e22 = corr
-    gamma = e11 + e12 + e21 - e22  # as experiments.chsh_quantum sums them
+    gamma = experiments.chsh_combination(*corr)
     verdict = VIOLATION if abs(gamma) > 2.0 + VERDICT_MARGIN else CONSISTENT
     lines = [
         "scenario chsh: two settings per party",

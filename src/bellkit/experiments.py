@@ -22,6 +22,10 @@ tilted through theta in the zx-plane is the same 2x2 rotation through theta/2
 functions are thin wrappers around it, ``chsh_correlations`` makes one call for
 its four runs and ``pair_correlations`` one call for a whole sweep.
 
+``HARDY_CASES`` and ``GHZ_CASES`` are the one home of the quoted settings
+(``lhvt`` builds its Hardy and GHZ scenarios from them), as ``chsh_runs`` and
+``chsh_combination`` are of the CHSH run order and E11 + E12 + E21 - E22.
+
 Validation happens at the edges: every angle is checked for finiteness once,
 where it enters a public function (``ValueError``), and each rotated batch
 gets one vectorized norm check, which raises ``RuntimeError`` because with
@@ -58,6 +62,7 @@ GHZ_CASES = {
     "C": (math.pi / 4, 0.0, math.pi / 4),
     "D": (0.0, math.pi / 4, math.pi / 4),
 }
+_HARDY_ANGLES = frozenset(itertools.chain(*HARDY_CASES.values()))
 
 # Analyzer quadruples (theta1, theta1', theta2, theta2') that extremize the
 # four-correlation combination for each carrier.
@@ -276,7 +281,7 @@ def pair_correlations(theta1s, theta2s) -> list[float]:
 
 
 def _check_hardy_angle(theta: float) -> None:
-    if min(abs(theta), abs(theta - math.pi / 4)) > tensor.TOL_NORM:
+    if min(abs(theta - a) for a in _HARDY_ANGLES) > tensor.TOL_NORM:
         raise ValueError(
             "hardy analyzers are quoted at 0 or pi/4; pass allow_general=True for other angles"
         )
@@ -357,6 +362,16 @@ _CHSH_CARRIERS = {
 }
 
 
+def chsh_runs(t1, t1p, t2, t2p) -> tuple[tuple, tuple, tuple, tuple]:
+    """The four CHSH runs (1,2), (1,2'), (1',2), (1',2'), in any angle unit."""
+    return (t1, t2), (t1, t2p), (t1p, t2), (t1p, t2p)
+
+
+def chsh_combination(e11, e12, e21, e22):
+    """E(1,2) + E(1,2') + E(1',2) - E(1',2'), over the runs in chsh_runs order."""
+    return e11 + e12 + e21 - e22
+
+
 def chsh_correlations(
     theta1: float, theta1p: float, theta2: float, theta2p: float, system: str = "photon"
 ) -> tuple[float, float, float, float]:
@@ -365,14 +380,13 @@ def chsh_correlations(
         raise ValueError(f"system must be 'photon' or 'electron'; got {system!r}")
     _check_finite(theta1, theta1p, theta2, theta2p)
     rows_of, labels = _CHSH_CARRIERS[system]
-    firsts, seconds = (theta1, theta1, theta1p, theta1p), (theta2, theta2p, theta2, theta2p)
-    e11, e12, e21, e22 = _correlations(rows_of(firsts, seconds), zip(firsts, seconds), labels)
+    runs = chsh_runs(theta1, theta1p, theta2, theta2p)
+    e11, e12, e21, e22 = _correlations(rows_of(*zip(*runs)), runs, labels)
     return e11, e12, e21, e22
 
 
 def chsh_quantum(
     theta1: float, theta1p: float, theta2: float, theta2p: float, system: str = "photon"
 ) -> float:
-    """E(1,2) + E(1,2') + E(1',2) - E(1',2')."""
-    e11, e12, e21, e22 = chsh_correlations(theta1, theta1p, theta2, theta2p, system)
-    return e11 + e12 + e21 - e22
+    """chsh_combination of the four quantum correlations."""
+    return chsh_combination(*chsh_correlations(theta1, theta1p, theta2, theta2p, system))

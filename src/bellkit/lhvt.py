@@ -5,6 +5,9 @@ rational bounds and an optional Monte-Carlo mixture sampler.
 Setting angles in this module are plain degree labels on instruction cards, so
 grid arithmetic (the 90-degree flip rule, 120-degree spacings) stays exact;
 they are converted to radians only when a quantum distribution is consulted.
+The Hardy and GHZ scenarios are read, in degrees, from the quoted cases in
+experiments.HARDY_CASES and GHZ_CASES, whose letters name the runs; the CHSH
+runs and combination come from experiments.chsh_runs and chsh_combination.
 Outcomes are +1 (pass / spin-up) and -1 (stop / spin-down).
 
 A scenario's strategy space is decoded once into a +/-1 int8 card array: one
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import getitem
 
 import numpy as np
@@ -199,11 +202,6 @@ def _cards(spec: ScenarioSpec) -> np.ndarray:
     return cards
 
 
-def strategy_count(spec: ScenarioSpec) -> int:
-    """Number of strategies enumerate_strategies yields, without decoding them."""
-    return 2 ** _card_columns(spec)[2]
-
-
 def _column_offsets(spec: ScenarioSpec) -> list[int]:
     """Index of each party's first column in the card array."""
     return list(accumulate((len(s) for s in spec.settings[:-1]), initial=0))
@@ -277,34 +275,31 @@ def electron_scenario() -> ScenarioSpec:
     return ScenarioSpec("electron", 2, (angles, angles), runs, opposite=True)
 
 
+def _quoted_scenario(name: str, cases: dict) -> ScenarioSpec:
+    """Independent cards, one run per quoted case in table order, in degrees;
+    each party's settings are the angles it meets in those runs, ascending."""
+    runs = tuple(tuple(map(math.degrees, angles)) for angles in cases.values())
+    settings = tuple(tuple(sorted(set(column))) for column in zip(*runs))
+    return ScenarioSpec(name, len(settings), settings, runs)
+
+
 def hardy_scenario() -> ScenarioSpec:
-    """Independent cards at {0, 45} degrees for the Hardy pair, one run per
-    quoted case (0,0), (45,0), (0,45), (45,45)."""
-    angles = (0.0, 45.0)
-    runs = ((0.0, 0.0), (45.0, 0.0), (0.0, 45.0), (45.0, 45.0))
-    return ScenarioSpec("hardy", 2, (angles, angles), runs)
+    """The Hardy pair's runs A-D, read from experiments.HARDY_CASES."""
+    return _quoted_scenario("hardy", experiments.HARDY_CASES)
 
 
 def ghz_scenario() -> ScenarioSpec:
-    """Independent cards at {0, 45} degrees for three photons, one run per
-    quoted case A-D."""
-    angles = (0.0, 45.0)
-    runs = ((0.0, 0.0, 0.0), (45.0, 45.0, 0.0), (45.0, 0.0, 45.0), (0.0, 45.0, 45.0))
-    return ScenarioSpec("ghz", 3, (angles, angles, angles), runs)
+    """The three photons' runs A-D, read from experiments.GHZ_CASES."""
+    return _quoted_scenario("ghz", experiments.GHZ_CASES)
 
 
 def chsh_scenario(
     theta1_deg: float, theta1p_deg: float, theta2_deg: float, theta2p_deg: float
 ) -> ScenarioSpec:
     """Two settings per party; the four runs feeding the correlation combination."""
-    s1, s2 = (theta1_deg, theta1p_deg), (theta2_deg, theta2p_deg)
-    runs = (
-        (s1[0], s2[0]),
-        (s1[0], s2[1]),
-        (s1[1], s2[0]),
-        (s1[1], s2[1]),
-    )
-    return ScenarioSpec("chsh", 2, (s1, s2), runs)
+    settings = (theta1_deg, theta1p_deg), (theta2_deg, theta2p_deg)
+    runs = experiments.chsh_runs(theta1_deg, theta1p_deg, theta2_deg, theta2p_deg)
+    return ScenarioSpec("chsh", 2, settings, runs)
 
 
 # --- exact bounds -----------------------------------------------------------
@@ -372,17 +367,19 @@ def _quantum_zeros(distributions) -> list[tuple[int, tuple[int, ...]]]:
     ]
 
 
-def _forbidden(spec: ScenarioSpec, distributions):
+def _forbidden(spec: ScenarioSpec, cases: dict):
     """Every strategy, its +/-1 answers on every run (shape (strategies, runs,
-    parties)), and a (strategies, runs) mask: True where the strategy would
-    produce an outcome the run's quantum distribution forbids.  Hardy's zeros
-    and the GHZ parities both eliminate strategies by this mask."""
+    parties)), and for each strategy the set of case letters whose quantum
+    distribution forbids the outcome it would produce; cases maps each run's
+    letter to its distribution, in run order.  Hardy's zeros and the GHZ
+    parities both eliminate strategies by these sets."""
     cards = _cards(spec)
     answers = cards[:, _run_columns(spec)]
     forbidden = np.zeros(answers.shape[:2], dtype=bool)
-    for r, signs in _quantum_zeros(distributions):
+    for r, signs in _quantum_zeros(cases.values()):
         forbidden[:, r] |= (answers[:, r] == signs).all(axis=1)
-    return _tables(spec, cards), answers, forbidden
+    hits = [frozenset(compress(cases, row)) for row in forbidden.tolist()]
+    return _tables(spec, cards), answers, hits
 
 
 @dataclass(frozen=True)
@@ -401,23 +398,19 @@ class HardyStages:
 def hardy_stages() -> HardyStages:
     """Eliminate every card pair that would produce an outcome a Hardy run
     forbids, then bound pass/pass (both answers +1) at (0,0) over the rest."""
-    spec = hardy_scenario()
-    runs = tuple(
-        experiments.hardy_distribution(*(math.radians(a) for a in run)) for run in spec.runs
-    )
-    tables, answers, forbidden = _forbidden(spec, runs)
-    feasible = np.flatnonzero(~forbidden.any(axis=1))
+    runs = {c: experiments.hardy_distribution(*a) for c, a in experiments.HARDY_CASES.items()}
+    tables, answers, hits = _forbidden(hardy_scenario(), runs)
+    feasible = [i for i, hit in enumerate(hits) if not hit]
     passpass = (answers[feasible, 0] == PASS).all(axis=1).astype(np.int64)
-    bound = _array_bound([tables[i] for i in feasible.tolist()], passpass, 1, "max")
-    letters = [frozenset(c for c, hit in zip("ABCD", row) if hit) for row in forbidden.tolist()]
-    return HardyStages(tuple(tables), tuple(letters), bound, runs)
+    bound = _array_bound([tables[i] for i in feasible], passpass, 1, "max")
+    return HardyStages(tuple(tables), tuple(hits), bound, tuple(runs.values()))
 
 
 def hardy_constraints() -> list[tuple[tuple[float, float], tuple[int, ...], str]]:
     """Joint outcomes the quantum Hardy distribution forbids, as (run, outcome
     signs, case letter); read off the computed distributions, not transcribed."""
-    runs = hardy_scenario().runs
-    return [(runs[r], signs, "ABCD"[r]) for r, signs in _quantum_zeros(hardy_stages().runs)]
+    runs, letters = hardy_scenario().runs, list(experiments.HARDY_CASES)
+    return [(runs[r], signs, letters[r]) for r, signs in _quantum_zeros(hardy_stages().runs)]
 
 
 def hardy_elimination() -> dict[tuple[tuple[int, ...], tuple[int, ...]], frozenset[str]]:
@@ -453,19 +446,16 @@ def ghz_elimination_stages() -> GhzStages:
     """Filter the 64 card triples by the parity each quoted case makes certain:
     the wrong-parity outcomes are exactly the ones the case's distribution
     forbids."""
-    spec = ghz_scenario()
-    cases = [experiments.ghz_parity_distribution(letter) for letter in "ABCD"]
-    for letter, case in zip("ABCD", cases):
+    cases = {c: experiments.ghz_parity_distribution(c) for c in experiments.GHZ_CASES}
+    for letter, case in cases.items():
         if case.certain_parity is None:
             raise RuntimeError(f"case {letter} has no certain parity; nothing to filter on")
-    tables, _, forbidden = _forbidden(spec, [case.distribution for case in cases])
-    after_a = forbidden[:, 0].tolist()
-    anywhere = forbidden.any(axis=1).tolist()
+    tables, _, hits = _forbidden(ghz_scenario(), {c: p.distribution for c, p in cases.items()})
     return GhzStages(
         tuple(tables),
-        tuple(t for t, hit in zip(tables, after_a) if not hit),
-        tuple(t for t, hit in zip(tables, anywhere) if not hit),
-        tuple(cases),
+        tuple(t for t, hit in zip(tables, hits) if "A" not in hit),
+        tuple(t for t, hit in zip(tables, hits) if not hit),
+        tuple(cases.values()),
     )
 
 
@@ -481,11 +471,9 @@ class ChshClassical:
 
 def chsh_gamma(spec: ScenarioSpec, table: StrategyTable) -> int:
     """E(1,2) + E(1,2') + E(1',2) - E(1',2') for one deterministic strategy."""
-    products = [
-        run_outcomes(spec, table, run)[0] * run_outcomes(spec, table, run)[1]
-        for run in spec.runs
-    ]
-    return products[0] + products[1] + products[2] - products[3]
+    return experiments.chsh_combination(
+        *(math.prod(run_outcomes(spec, table, run)) for run in spec.runs)
+    )
 
 
 def chsh_classical(
@@ -495,7 +483,7 @@ def chsh_classical(
     every combination value is +2 or -2."""
     spec = chsh_scenario(theta1_deg, theta1p_deg, theta2_deg, theta2p_deg)
     cards = _cards(spec)
-    gammas = _run_products(spec, cards) @ np.array([1, 1, 1, -1])
+    gammas = experiments.chsh_combination(*_run_products(spec, cards).T)
     values = tuple(gammas.tolist())
     for g in values:
         if g not in (2, -2):
@@ -561,12 +549,12 @@ class MixtureEstimate:
     exact: tuple[float, ...]
 
     def chsh_combination(self) -> tuple[float, float]:
-        """(estimate, standard error) of E1 + E2 + E3 - E4 over four runs."""
+        """(estimate, standard error) of experiments.chsh_combination of the
+        four runs' means."""
         if len(self.runs) != 4:
             raise ValueError("the combination needs exactly four runs")
-        m = self.means
         se = math.sqrt(sum(s**2 for s in self.std_errors))
-        return m[0] + m[1] + m[2] - m[3], se
+        return experiments.chsh_combination(*self.means), se
 
 
 def monte_carlo_mixture(

@@ -10,13 +10,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .tensor import TOL_NORM, StateVector, clamp_probability
+from .tensor import TOL_NORM, clamp_probability
 
 # Bloch/Poincare pole: below this distance from |s3| = 1 the azimuth is forced to 0.
 POLE_TOL = 1e-9
-
-LINEAR_LABELS = ("x", "y")
-CIRCULAR_LABELS = ("RCP", "LCP")
 
 
 @dataclass(frozen=True)
@@ -52,9 +49,6 @@ class PhotonState:
     @property
     def cy(self) -> complex:
         return self.alpha_y * cmath.exp(1j * self.phi_y)
-
-    def to_state_vector(self) -> StateVector:
-        return StateVector([self.cx, self.cy], LINEAR_LABELS)
 
 
 @dataclass(frozen=True)
@@ -104,9 +98,6 @@ class CircularDecomposition:
         if abs(norm - 1.0) > TOL_NORM:
             raise ValueError(f"circular decomposition not normalized: {norm!r}")
 
-    def to_state_vector(self) -> StateVector:
-        return StateVector([self.beta_rcp, self.beta_lcp], CIRCULAR_LABELS)
-
 
 @dataclass(frozen=True)
 class BlochCoords:
@@ -119,7 +110,8 @@ class BlochCoords:
         if not -TOL_NORM <= self.theta0 <= math.pi + TOL_NORM:
             raise ValueError(f"theta0 = {self.theta0!r} outside [0, pi]")
         phi = self.phi0 % (2 * math.pi)
-        if self.theta0 <= POLE_TOL or self.theta0 >= math.pi - POLE_TOL:
+        # A tiny negative azimuth wraps to a sum that rounds to 2 pi, which is 0.
+        if phi == 2 * math.pi or self.theta0 <= POLE_TOL or self.theta0 >= math.pi - POLE_TOL:
             phi = 0.0
         object.__setattr__(self, "phi0", phi)
 
@@ -152,6 +144,8 @@ def stokes_to_ellipse(s: StokesVector) -> PolarizationEllipse:
     rho = 0.5 * math.atan2(s.s2, s.s1)
     if rho < 0.0:
         rho += math.pi
+    if rho == math.pi:  # a tiny negative orientation rounds up to pi, which is 0
+        rho = 0.0
     eta = 0.5 * math.asin(max(-1.0, min(1.0, s.s3)))
     return PolarizationEllipse(rho, eta)
 

@@ -140,14 +140,18 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def is_unitary(op: MatrixOperator, tol: float = TOL_UNITARY) -> bool:
-    """True when both U U+ and U+ U are within tol (max-abs entry) of identity."""
+def unitarity_deviation(op: MatrixOperator) -> float:
+    """Largest max-abs entry of U U+ - 1 and U+ U - 1 (NaN if either is NaN)."""
     u = op.entries
     eye = np.eye(op.dim)
-    return (
-        float(np.max(np.abs(u @ u.conj().T - eye))) <= tol
-        and float(np.max(np.abs(u.conj().T @ u - eye))) <= tol
+    return float(
+        np.maximum(np.max(np.abs(u @ u.conj().T - eye)), np.max(np.abs(u.conj().T @ u - eye)))
     )
+
+
+def is_unitary(op: MatrixOperator, tol: float = TOL_UNITARY) -> bool:
+    """True when both U U+ and U+ U are within tol (max-abs entry) of identity."""
+    return unitarity_deviation(op) <= tol
 
 
 def is_hermitian(op: MatrixOperator, tol: float = TOL_UNITARY) -> bool:

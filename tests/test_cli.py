@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from bellkit import cli, experiments, lhvt, spin
 
@@ -123,6 +127,24 @@ def test_rotate_state_length_error(capsys):
     assert run_cli("rotate", "--spin", "half", "--euler", "0", "0", "0",
                    "--state", "1", "0") == 1
     assert "--state needs 4 numbers" in capsys.readouterr().err
+
+
+def test_rotate_reduces_huge_euler_angles_by_the_su2_period(capsys):
+    # fmod(1e9, 720) = 640 exactly; the closed form's phases at 1e9 degrees
+    # round inconsistently, so unreduced angles failed both checks
+    assert run_cli("rotate", "--spin", "one", "--euler", "90", "1", "1e9", "--check") == 0
+    huge = capsys.readouterr().out.splitlines()
+    assert run_cli("rotate", "--spin", "one", "--euler", "90", "1", "640", "--check") == 0
+    reduced = capsys.readouterr().out.splitlines()
+    assert "chi=1000000000.000000" in huge[0]
+    assert huge[1:] == reduced[1:]
+
+
+def test_poincare_tiny_negative_orientation_exits_0(capsys):
+    assert run_cli("poincare", "--alpha-x", "1", "--alpha-y", "1e-16", "--phi-y", "180") == 0
+    out = capsys.readouterr().out
+    assert "2rho=0.000000deg" in out
+    assert "phi0=0.000000deg" in out
 
 
 def test_lhvt_grid30(capsys):
@@ -478,3 +500,96 @@ def test_negative_non_finite_numbers_exit_1(argv, capsys):
 
 def test_card_string():
     assert cli.card_string(lhvt.StrategyTable(((1, -1), (-1, 1)))) == "+- -+"
+
+
+# --- fuzzed exit contract -----------------------------------------------------
+
+FINITE = st.sampled_from([
+    "0", "-0", "45", "90", "-3e1", "719.9", "720", "1e9", "1", "0.6", "0.8", "1e-16",
+    "1e308", "-1e308", "1e-320", "5e-324", str(10**30), str(-(2**64)),
+]) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+BAD = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "", "abc"])
+NUMBER = st.one_of(FINITE, FINITE, FINITE, BAD)  # mostly finite, so runs reach the commands
+# --mc-trials: samples at most 1000 trials; larger values are refused first
+TRIALS = st.integers(-3, 1000).map(str) | st.sampled_from(
+    ["1000001", str(10**30), "", "1e3", "nan"]
+)
+SEED_TEXT = st.integers(-3, 10**6).map(str) | st.sampled_from([str(2**64), str(10**30), "", "x"])
+ALPHA = st.sampled_from(["0.6", "0.8", "1", "0", "1e-16", "0.6000001", "-0.6"])
+
+
+def _values(n, of):
+    return st.lists(of, min_size=n, max_size=n)
+
+
+def _sized(number, sizes):
+    return st.lists(number, min_size=sizes[0], max_size=sizes[1])
+
+
+def _options(number, alpha=ALPHA, angles=(4, 4), euler=(3, 3), state=(4, 6), junk=()):
+    """Every command's options, each with a strategy for the values after the
+    flag; angles, euler and state bound those options' value counts, and junk
+    joins every list of choices.  Never --out, so nothing is written."""
+    return {
+        "pair": {"--theta1": _values(1, number), "--theta2": _values(1, number),
+                 "--sweep": _values(0, number)},
+        "lhvt": {
+            "--scenario": _values(1, st.sampled_from(["chsh", "chsh", *cli.SCENARIOS, *junk])),
+            "--angles": _sized(number, angles),
+            "--mc-trials": _values(1, TRIALS),
+            "--seed": _values(1, SEED_TEXT),
+        },
+        "poincare": {
+            "--alpha-x": _values(1, alpha), "--alpha-y": _values(1, alpha),
+            "--phi-x": _values(1, number), "--phi-y": _values(1, number),
+        },
+        "rotate": {
+            "--spin": _values(1, st.sampled_from(["half", "one", *junk])),
+            "--euler": _sized(number, euler),
+            "--state": _sized(number, state),
+            "--check": _values(0, number),
+        },
+        "report": {"--all": _values(0, number),
+                   "--format": _values(1, st.sampled_from(["table", "json", *junk]))},
+    }
+
+
+# Well-formed runs (finite numbers, the right counts) and anything-goes runs.
+OPTIONS = {
+    "clean": _options(FINITE),
+    "wild": _options(NUMBER, ALPHA | NUMBER, (3, 5), (2, 4), (1, 7), junk=("two",)),
+}
+REQUIRED = {"--scenario", "--spin", "--euler", "--alpha-x", "--alpha-y"}
+ALL_FLAGS = sorted({(c, f) for c, flags in OPTIONS["wild"].items() for f in flags})
+
+
+@st.composite
+def argvs(draw):
+    kind = draw(st.sampled_from(["clean", "wild"]))
+    command = draw(st.sampled_from(sorted(OPTIONS[kind])))
+    argv = [command]
+    for flag, values in OPTIONS[kind][command].items():
+        if kind == "clean" and flag in REQUIRED or draw(st.sampled_from([True, True, False])):
+            argv += [flag, *draw(values)]
+    if kind == "wild" and draw(st.sampled_from([False, True])):  # a flag of another command
+        other, flag = draw(st.sampled_from(ALL_FLAGS))
+        argv += [flag, *draw(OPTIONS[kind][other][flag])]
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(["poincare", "--alpha-x", "1", "--alpha-y", "1e-16", "--phi-y", "180"])
+@example(["rotate", "--spin", "one", "--euler", "90", "1", "1e9", "--check"])
+@example(["lhvt", "--scenario", "chsh", "--mc-trials", "1000001"])
+@given(argvs())
+def test_any_argv_exits_0_or_1_with_no_stdout_on_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects bad flags and values itself
+            code = exc.code
+    assert code in (0, 1), (argv, code, err.getvalue())
+    if code == 1:
+        assert out.getvalue() == "", argv

@@ -157,6 +157,23 @@ def test_chsh_system_validation():
         ex.chsh_correlations(0.0, 0.0, 0.0, 0.0, system="neutrino")
 
 
+def test_chsh_runs_order_in_any_unit():
+    assert ex.chsh_runs(1, 2, 3, 4) == ((1, 3), (1, 4), (2, 3), (2, 4))
+    runs = ex.chsh_runs("a", "a'", "b", "b'")
+    assert runs == (("a", "b"), ("a", "b'"), ("a'", "b"), ("a'", "b'"))
+
+
+def test_chsh_combination_on_floats_and_ints():
+    rng = np.random.default_rng(7)
+    for e11, e12, e21, e22 in rng.uniform(-1.0, 1.0, size=(200, 4)).tolist():
+        assert ex.chsh_combination(e11, e12, e21, e22) == e11 + e12 + e21 - e22
+    assert ex.chsh_combination(1, 1, 1, -1) == 4
+    columns = np.array([[1, -1], [1, -1], [-1, 1], [-1, 1]], dtype=np.int8)
+    assert ex.chsh_combination(*columns).tolist() == [2, -2]
+    corr = ex.chsh_correlations(*ex.CHSH_PHOTON_SETTINGS)
+    assert ex.chsh_quantum(*ex.CHSH_PHOTON_SETTINGS) == ex.chsh_combination(*corr)
+
+
 def test_chsh_never_exceeds_quantum_bound():
     rng = np.random.default_rng(20260823)
     cap = 2 * math.sqrt(2) + 1e-9

@@ -138,6 +138,29 @@ def test_hardy_constraints_derived_from_quantum_zeros():
     ]
 
 
+def test_quoted_scenarios_read_the_case_tables():
+    # the degree runs are the quoted radian cases, in table order, exactly
+    hardy, ghz = lhvt.hardy_scenario(), lhvt.ghz_scenario()
+    assert hardy == lhvt.ScenarioSpec(
+        "hardy", 2, ((0.0, 45.0),) * 2, ((0.0, 0.0), (45.0, 0.0), (0.0, 45.0), (45.0, 45.0))
+    )
+    assert ghz == lhvt.ScenarioSpec(
+        "ghz", 3, ((0.0, 45.0),) * 3,
+        ((0.0, 0.0, 0.0), (45.0, 45.0, 0.0), (45.0, 0.0, 45.0), (0.0, 45.0, 45.0)),
+    )
+    for spec, cases in ((hardy, experiments.HARDY_CASES), (ghz, experiments.GHZ_CASES)):
+        assert spec.runs == tuple(tuple(map(math.degrees, a)) for a in cases.values())
+    stages = lhvt.hardy_stages()
+    for dist, angles in zip(stages.runs, experiments.HARDY_CASES.values()):
+        assert tuple(s.angle for s in dist.settings) == angles
+
+
+def test_chsh_scenario_runs_in_chsh_runs_order():
+    spec = lhvt.chsh_scenario(45.0, 90.0, 67.5, 22.5)
+    assert spec.runs == experiments.chsh_runs(45.0, 90.0, 67.5, 22.5)
+    assert spec.runs == ((45.0, 67.5), (45.0, 22.5), (90.0, 67.5), (90.0, 22.5))
+
+
 def test_hardy_elimination_table():
     # cards are (outcome at 0, outcome at 45); values list the cases whose
     # forbidden outcome the card pair would produce

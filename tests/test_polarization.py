@@ -138,6 +138,21 @@ def test_bloch_coords_of_y_and_poles():
     assert south.phi0 == 0.0
 
 
+def test_tiny_negative_orientation_wraps_to_zero():
+    # atan2 gives -5e-18 for 2 rho; adding pi rounds to pi, which is outside [0, pi)
+    assert pol.stokes_to_ellipse(pol.StokesVector(1.0, 1.0, -1e-17, 0.0)).rho == 0.0
+    rho = pol.stokes_to_ellipse(pol.StokesVector(1.0, 0.0, -1.0, 0.0)).rho
+    assert rho == -math.pi / 4 + math.pi
+
+
+def test_tiny_negative_azimuth_wraps_to_zero():
+    # -1e-17 % (2 pi) rounds to 2 pi, which is outside [0, 2 pi)
+    assert pol.BlochCoords(math.pi / 2, -1e-17).phi0 == 0.0
+    assert pol.BlochCoords(math.pi / 2, -0.5).phi0 == -0.5 % (2 * math.pi)
+    state = pol.PhotonState(1.0, 0.0, 1e-16, math.pi)
+    assert pol.bloch_coords(pol.to_circular(state)).phi0 == 0.0
+
+
 def test_frame_rotation_quarter_turn_moves_x_to_y():
     c = pol.rotate_photon_frame(pol.to_circular(X), math.pi / 2)
     assert abs(c.beta_rcp - 1j * RT2) < ABS_TOL

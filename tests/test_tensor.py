@@ -21,6 +21,7 @@ from bellkit.tensor import (
     normalized,
     probability,
     same_up_to_phase,
+    unitarity_deviation,
 )
 
 ABS_TOL = 1e-12
@@ -88,6 +89,18 @@ def test_is_unitary_and_hermitian():
     u = MatrixOperator([[math.cos(theta), math.sin(theta)],
                         [-math.sin(theta), math.cos(theta)]])
     assert is_unitary(u)
+
+
+def test_unitarity_deviation_is_the_worst_entry():
+    assert unitarity_deviation(MatrixOperator([[1, 0], [0, 2]])) == 3.0
+    theta = 0.7
+    u = MatrixOperator([[math.cos(theta), math.sin(theta)],
+                        [-math.sin(theta), math.cos(theta)]])
+    assert unitarity_deviation(u) <= tensor.TOL_UNITARY
+    # U+ U - 1 and U U+ - 1 differ for a non-normal U; the larger one counts
+    shear = MatrixOperator([[1, 1], [0, 1]])
+    assert unitarity_deviation(shear) == 1.0
+    assert not is_unitary(shear, tol=0.99) and is_unitary(shear, tol=1.0)
 
 
 def test_constructor_guards():
