@@ -10,10 +10,12 @@ calls in the same process; BELLKIT_SEED is still read on every call.
 
 Each scenario is one function in the SCENARIOS table, in report order, that
 computes its numbers once into one RunReport: the JSON fields, the two table
-cells and the `lhvt` lines.  Only chsh takes --angles and --mc-trials.  Input
-is checked at the edge, before any output: argparse types reject non-finite
-numbers and bad seeds (BELLKIT_SEED too), and each command checks the rest of
-its input before it prints anything.
+cells and the `lhvt` lines; grid30, grid120 and electron share one builder.
+Each verdict reads the bounds its row prints, and the Hardy and GHZ settings
+come from experiments' case tables.  Only chsh takes --angles and --mc-trials.
+Input is checked at the edge, before any output: argparse types reject
+non-finite numbers and bad seeds (BELLKIT_SEED too), and each command checks
+the rest of its input before it prints anything.
 """
 
 from __future__ import annotations
@@ -47,12 +49,14 @@ class InternalCheckError(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags by default; this package reserves 2 for
     internal check failures, so usage problems exit 1 instead.  argparse also
-    reads a negative number in scientific notation (-3e1) as a flag; here it
-    is a value, as -30 is.  Subparsers are built from this class too."""
+    reads -3e1, -nan and -inf as flags; here they are values, as -30 is (the
+    type then refuses -nan and -inf).  Subparsers are built from this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|nan|inf(inity)?)$", re.IGNORECASE
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -254,36 +258,44 @@ def _against_bound(name, key, quantum, bound, classical, lines) -> RunReport:
     )
 
 
-def _optimizers(bound: lhvt.ClassicalBound) -> dict:
-    return {
+def _pair(name, description, bound, figure, distribution, delta, *extra) -> RunReport:
+    """A two-party row: bound against the figure ("agreement" or "antiparallel")
+    of distribution at (0, delta deg); extra lines go after the bound line."""
+    quantum = getattr(distribution(0.0, math.radians(delta)), figure)()
+    classical = {
         "strategy_count": len(bound.candidates),
         "optimizer_count": len(bound.optimizers),
         "optimizers": [card_string(t) for t in bound.optimizers],
     }
+    return _against_bound(name, f"{figure}_delta{delta}", quantum, bound, classical, (
+        f"scenario {name}: {description}",
+        f"strategies: {len(bound.candidates)}",
+        _bound_line(figure, bound),
+        *extra,
+        f"quantum {figure} at delta={delta}deg: {_fmt(quantum)}",
+    ))
 
 
 def _grid30() -> RunReport:
     bound = lhvt.max_agreement_30grid()
-    quantum = experiments.entangled_pair_distribution(0.0, math.radians(30.0)).agreement()
-    zero = bound.scores.count(0)
-    return _against_bound("grid30", "agreement_delta30", quantum, bound, _optimizers(bound), (
-        "scenario grid30: shared card, 12 settings, second analyzer +30deg",
-        f"strategies: {len(bound.candidates)}",
-        _bound_line("agreement", bound),
-        f"zero-agreement cards: {zero}",
-        f"quantum agreement at delta=30deg: {_fmt(quantum)}",
-    ))
+    return _pair(
+        "grid30", "shared card, 12 settings, second analyzer +30deg", bound, "agreement",
+        experiments.entangled_pair_distribution, 30,
+        f"zero-agreement cards: {bound.scores.count(0)}",
+    )
 
 
 def _grid120() -> RunReport:
-    bound = lhvt.min_agreement_120grid()
-    quantum = experiments.entangled_pair_distribution(0.0, math.radians(120.0)).agreement()
-    return _against_bound("grid120", "agreement_delta120", quantum, bound, _optimizers(bound), (
-        "scenario grid120: shared card on {0,120,240}, analyzers 120deg apart",
-        f"strategies: {len(bound.candidates)}",
-        _bound_line("agreement", bound),
-        f"quantum agreement at delta=120deg: {_fmt(quantum)}",
-    ))
+    return _pair(
+        "grid120", "shared card on {0,120,240}, analyzers 120deg apart",
+        lhvt.min_agreement_120grid(), "agreement", experiments.entangled_pair_distribution, 120,
+    )
+
+
+def _cards_at(cases: dict) -> str:
+    """Independent cards at the distinct angles of a quoted case table, in degrees."""
+    angles = sorted({a for run in cases.values() for a in run})
+    return "independent cards at {" + ",".join(f"{math.degrees(a):g}" for a in angles) + "}deg"
 
 
 def _hardy() -> RunReport:
@@ -293,7 +305,7 @@ def _hardy() -> RunReport:
     quantum = stages.runs[0].probability_of("pass", "pass")
     classical = {"strategy_count": count, "feasible_count": len(feasible), "feasible": feasible}
     return _against_bound("hardy", "pass_pass_at_00", quantum, bound, classical, (
-        "scenario hardy: independent cards at {0,45}deg",
+        f"scenario hardy: {_cards_at(experiments.HARDY_CASES)}",
         f"strategies: {count}, feasible after zero constraints: {len(feasible)}",
         *(f"  feasible card {card}" for card in feasible),
         _bound_line("pass/pass at (0,0)", bound),
@@ -302,10 +314,10 @@ def _hardy() -> RunReport:
 
 
 def _ghz() -> RunReport:
+    # A case with no certain parity raises in ghz_elimination_stages.
     stages = lhvt.ghz_elimination_stages()
     parities = {c: case.certain_parity for c, case in zip(experiments.GHZ_CASES, stages.cases)}
-    ok = len(stages.feasible) == 0 and all(p is not None for p in parities.values())
-    verdict = VIOLATION if ok else CONSISTENT
+    verdict = CONSISTENT if stages.feasible else VIOLATION
     classical = {
         "strategy_count": len(stages.all_strategies),
         "after_case_a": len(stages.after_case_a),
@@ -316,7 +328,7 @@ def _ghz() -> RunReport:
         "ghz", {"certain_parity": parities}, classical, verdict,
         (f"certain {certain}/4", f"feasible {len(stages.feasible)}"),
         (
-            "scenario ghz: independent cards at {0,45}deg, three photons",
+            f"scenario ghz: {_cards_at(experiments.GHZ_CASES)}, three photons",
             f"strategies: {len(stages.all_strategies)}; after case A parity filter: "
             f"{len(stages.after_case_a)}; after all four: {len(stages.feasible)}",
             *(f"  case {case}: {parity} detect count certain" for case, parity in parities.items()),
@@ -326,14 +338,11 @@ def _ghz() -> RunReport:
 
 
 def _electron() -> RunReport:
-    bound = lhvt.min_antiparallel_electron()
-    quantum = experiments.electron_singlet_distribution(0.0, math.radians(120.0)).antiparallel()
-    return _against_bound("electron", "antiparallel_delta120", quantum, bound, _optimizers(bound), (
-        "scenario electron: opposite cards on {0,120,240}, unequal settings scored",
-        f"strategies: {len(bound.candidates)}",
-        _bound_line("antiparallel", bound),
-        f"quantum antiparallel at delta=120deg: {_fmt(quantum)}",
-    ))
+    return _pair(
+        "electron", "opposite cards on {0,120,240}, unequal settings scored",
+        lhvt.min_antiparallel_electron(), "antiparallel",
+        experiments.electron_singlet_distribution, 120,
+    )
 
 
 def _chsh(angles=None, mc_trials: int = 0, seed: int = 0) -> RunReport:
@@ -348,7 +357,8 @@ def _chsh(angles=None, mc_trials: int = 0, seed: int = 0) -> RunReport:
     rads = [math.radians(a) for a in angles]
     corr = experiments.chsh_correlations(*rads)
     gamma = experiments.chsh_combination(*corr)
-    verdict = VIOLATION if abs(gamma) > 2.0 + VERDICT_MARGIN else CONSISTENT
+    verdicts = {_verdict(gamma, classical.max_bound), _verdict(gamma, classical.min_bound)}
+    verdict = VIOLATION if VIOLATION in verdicts else CONSISTENT
     lines = [
         "scenario chsh: two settings per party",
         "settings deg: " + " ".join(_fmt(a) for a in angles),

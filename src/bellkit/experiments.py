@@ -23,8 +23,9 @@ functions are thin wrappers around it, ``chsh_correlations`` makes one call for
 its four runs and ``pair_correlations`` one call for a whole sweep.
 
 ``HARDY_CASES`` and ``GHZ_CASES`` are the one home of the quoted settings
-(``lhvt`` builds its Hardy and GHZ scenarios from them), as ``chsh_runs`` and
-``chsh_combination`` are of the CHSH run order and E11 + E12 + E21 - E22.
+(``lhvt`` builds its scenarios from them, the CLI and the Hardy angle check
+print them), as ``chsh_runs`` and ``chsh_combination`` are of the CHSH run
+order and E11 + E12 + E21 - E22.
 
 Validation happens at the edges: every angle is checked for finiteness once,
 where it enters a public function (``ValueError``), and each rotated batch
@@ -282,8 +283,9 @@ def pair_correlations(theta1s, theta2s) -> list[float]:
 
 def _check_hardy_angle(theta: float) -> None:
     if min(abs(theta - a) for a in _HARDY_ANGLES) > tensor.TOL_NORM:
+        quoted = " or ".join(f"{math.degrees(a):g}" for a in sorted(_HARDY_ANGLES))
         raise ValueError(
-            "hardy analyzers are quoted at 0 or pi/4; pass allow_general=True for other angles"
+            f"hardy analyzers are quoted at {quoted} deg; pass allow_general=True for other angles"
         )
 
 

@@ -20,11 +20,11 @@ invariant is checked once per card array, not once per strategy.  Mixtures
 and samples gather run columns from the array.  The canonical two-party
 bounds (grid30, grid120, electron, CHSH) are scored from its run-product
 matrix in one integer pass, and Hardy's pass/pass from the run answers its
-zero filter gathered; StrategyTable objects are built for the
-candidates and optimizers a bound reports, and for callers that score
-strategies one at a time (_extremize).  At most MAX_STRATEGIES = 2**16
-strategies are enumerated; larger spaces are refused before any array is
-allocated.
+zero filter gathered; StrategyTable objects are built for the candidates and
+optimizers a bound reports, and for agreement_fraction and
+antiparallel_fraction, which score one strategy at a time (_extremize).  At
+most MAX_STRATEGIES = 2**16 strategies are enumerated; larger spaces are
+refused before any array is allocated.
 """
 
 from __future__ import annotations
@@ -224,13 +224,6 @@ def enumerate_strategies(spec: ScenarioSpec) -> list[StrategyTable]:
     """All strategies consistent with the scenario's constraints, in a fixed
     lexicographic order (party-major, setting-minor, +1 before -1)."""
     return _tables(spec, _cards(spec))
-
-
-def run_outcomes(spec: ScenarioSpec, table: StrategyTable, run) -> tuple[int, ...]:
-    """Each party's card answer for one joint setting."""
-    return tuple(
-        table.outcome(p, spec.setting_index(p, angle)) for p, angle in enumerate(run)
-    )
 
 
 def _agreements(spec: ScenarioSpec, table: StrategyTable) -> int:
@@ -469,18 +462,11 @@ class ChshClassical:
     min_bound: ClassicalBound
 
 
-def chsh_gamma(spec: ScenarioSpec, table: StrategyTable) -> int:
-    """E(1,2) + E(1,2') + E(1',2) - E(1',2') for one deterministic strategy."""
-    return experiments.chsh_combination(
-        *(math.prod(run_outcomes(spec, table, run)) for run in spec.runs)
-    )
-
-
 def chsh_classical(
     theta1_deg: float, theta1p_deg: float, theta2_deg: float, theta2p_deg: float
 ) -> ChshClassical:
-    """Score the 16 strategies from their run products, as chsh_gamma would;
-    every combination value is +2 or -2."""
+    """Score the 16 strategies: experiments.chsh_combination of each one's
+    four run products, which is +2 or -2 for every strategy."""
     spec = chsh_scenario(theta1_deg, theta1p_deg, theta2_deg, theta2p_deg)
     cards = _cards(spec)
     gammas = experiments.chsh_combination(*_run_products(spec, cards).T)

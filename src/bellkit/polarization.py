@@ -73,11 +73,10 @@ class StokesVector:
 
 @dataclass(frozen=True)
 class PolarizationEllipse:
-    """Orientation rho in [0, pi), ellipticity eta in [-pi/4, pi/4], overall phase."""
+    """Orientation rho in [0, pi) and ellipticity eta in [-pi/4, pi/4]."""
 
     rho: float
     eta: float
-    chi_phase: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.rho < math.pi:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -297,6 +299,45 @@ def test_chsh_reads_its_correlations_once(monkeypatch, capsys):
     assert f"quantum combination = {2 * math.sqrt(2):.6f}" in capsys.readouterr().out
 
 
+def test_ghz_case_without_certain_parity_exits_2(monkeypatch, capsys):
+    real = experiments.ghz_parity_distribution
+
+    def uncertain(case):
+        gp = real(case)
+        return experiments.GhzParity(gp.distribution, 0.5, 0.5) if case == "B" else gp
+
+    monkeypatch.setattr(experiments, "ghz_parity_distribution", uncertain)
+    assert run_cli("lhvt", "--scenario", "ghz") == 2
+    captured = capsys.readouterr()
+    assert "case B has no certain parity" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("angles, combination", [
+    (("45", "90", "67.5", "22.5"), "2.828427"),
+    (("0", "45", "112.5", "67.5"), "-2.828427"),
+], ids=["above-max", "below-min"])
+def test_chsh_verdict_reads_the_classical_bounds(angles, combination, monkeypatch, capsys):
+    # |gamma| = 2 sqrt 2 violates the computed +/-2 bounds, and lies within +/-3
+    assert run_cli("lhvt", "--scenario", "chsh", "--angles", *angles) == 0
+    assert "verdict: violation" in capsys.readouterr().out
+    real = lhvt.chsh_classical
+
+    def widened(*degrees):
+        c = real(*degrees)
+        return dataclasses.replace(
+            c,
+            max_bound=dataclasses.replace(c.max_bound, value=Fraction(3)),
+            min_bound=dataclasses.replace(c.min_bound, value=Fraction(-3)),
+        )
+
+    monkeypatch.setattr(lhvt, "chsh_classical", widened)
+    assert run_cli("lhvt", "--scenario", "chsh", "--angles", *angles) == 0
+    out = capsys.readouterr().out
+    assert f"quantum combination = {combination}" in out
+    assert "verdict: consistent" in out
+
+
 def test_lhvt_chsh_negative_trials(capsys):
     assert run_cli("lhvt", "--scenario", "chsh", "--mc-trials", "-3") == 1
     assert "--mc-trials must be non-negative" in capsys.readouterr().err
@@ -425,7 +466,13 @@ def test_usage_errors_exit_1():
     ("rotate", "--spin", "half", "--euler", "inf", "0", "0"),
     ("poincare", "--alpha-x", "nan", "--alpha-y", "1"),
     ("lhvt", "--scenario", "chsh", "--angles", "0", "inf", "45", "90"),
-], ids=["pair", "rotate", "poincare", "lhvt"])
+    # -nan and -inf are option values, not flags
+    ("pair", "--theta2", "-nan"),
+    ("lhvt", "--scenario", "chsh", "--angles", "0", "-inf", "45", "90"),
+    ("rotate", "--spin", "half", "--euler", "0", "0", "0", "--state", "1", "0", "-nan", "0"),
+    ("poincare", "--alpha-x", "1", "--alpha-y", "0", "--phi-y", "-inf"),
+], ids=["pair", "rotate", "poincare", "lhvt",
+        "pair-negative", "lhvt-negative", "rotate-negative", "poincare-negative"])
 def test_non_finite_input_exits_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))

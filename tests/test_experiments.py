@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ def test_hardy_angle_restriction():
         ex.hardy_distribution(0.3, 0.0)
     d = ex.hardy_distribution(0.3, 0.0, allow_general=True)
     assert abs(sum(p for _, p in d.outcomes) - 1.0) < ABS_TOL
+
+
+def test_hardy_angle_message_names_the_quoted_angles():
+    with pytest.raises(ValueError) as exc:
+        ex.hardy_distribution(0.3, 0.0)
+    for angle in {a for case in ex.HARDY_CASES.values() for a in case}:
+        assert re.search(rf"\b{math.degrees(angle):g}\b", str(exc.value))
 
 
 def test_ghz_state_amplitudes():

@@ -13,6 +13,11 @@ from bellkit.lhvt import PASS, STOP
 SEED = 20260823
 
 
+def run_outcomes(spec, table, run) -> tuple[int, ...]:
+    """Each party's card answer for one joint setting, read one table at a time."""
+    return tuple(table.outcome(p, spec.setting_index(p, a)) for p, a in enumerate(run))
+
+
 def test_enumeration_order_and_count():
     spec = lhvt.chsh_scenario(45.0, 90.0, 67.5, 22.5)
     tables = lhvt.enumerate_strategies(spec)
@@ -58,6 +63,12 @@ def test_scenario_validation():
         lhvt.ScenarioSpec("bad", 2, ((0.0, 0.0), (0.0, 45.0)), ())
     with pytest.raises(ValueError):
         lhvt.StrategyTable(((0,),))
+
+
+@pytest.mark.parametrize("run", [(0.0,), (0.0, 45.0, 0.0)], ids=["too-few", "too-many"])
+def test_run_needs_one_angle_per_party(run):
+    with pytest.raises(ValueError, match="does not name one angle per party"):
+        lhvt.ScenarioSpec("bad", 2, ((0.0, 45.0), (0.0, 45.0)), (run,))
 
 
 def test_enumeration_ceiling():
@@ -126,7 +137,7 @@ def test_electron_equal_settings_always_antiparallel():
     spec = lhvt.electron_scenario()
     for t in lhvt.enumerate_strategies(spec):
         for angle in spec.settings[0]:
-            out = lhvt.run_outcomes(spec, t, (angle, angle))
+            out = run_outcomes(spec, t, (angle, angle))
             assert out[0] == -out[1]
 
 
@@ -204,7 +215,7 @@ def test_hardy_passpass_bound_matches_per_table_reference():
     spec = lhvt.hardy_scenario()
     feasible = tuple(lhvt.hardy_feasible_set())
     scores = tuple(
-        Fraction(1 if lhvt.run_outcomes(spec, t, spec.runs[0]) == (PASS, PASS) else 0)
+        Fraction(1 if run_outcomes(spec, t, spec.runs[0]) == (PASS, PASS) else 0)
         for t in feasible
     )
     best = max(scores)

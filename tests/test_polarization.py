@@ -183,3 +183,15 @@ def test_photon_state_guards():
     p = pol.PhotonState.from_amplitudes(-0.6, 0.8j)
     assert p.alpha_x == 0.6 and abs(p.phi_x - math.pi) < ABS_TOL
     assert p.alpha_y == 0.8 and abs(p.phi_y - math.pi / 2) < ABS_TOL
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: pol.StokesVector(2.0, 0.0, 0.0, 0.0), "expected 1 for a normalized pure state"),
+    (lambda: pol.PolarizationEllipse(math.pi, 0.0), r"outside \[0, pi\)"),
+    (lambda: pol.PolarizationEllipse(0.0, 1.0), r"outside \[-pi/4, pi/4\]"),
+    (lambda: pol.CircularDecomposition(1.0, 1.0), "circular decomposition not normalized"),
+    (lambda: pol.BlochCoords(4.0, 0.0), r"outside \[0, pi\]"),
+], ids=["stokes-s0", "ellipse-rho", "ellipse-eta", "circular-norm", "bloch-theta0"])
+def test_input_checks_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

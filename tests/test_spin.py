@@ -64,6 +64,17 @@ def test_axis_must_be_unit():
         spin.rotate_vector(X, (0.0, 0.0, 2.0), 0.3)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: spin.pauli("w"), "axis must be one of x, y, z"),
+    (lambda: spin.spin_one_operator("w"), "axis must be one of x, y, z"),
+    (lambda: spin.unitary_axis_angle((1.0, 0.0), 0.3), "must have 3 components"),
+    (lambda: spin.generator_from_rotation("x", "two"), "spin must be 'half' or 'one'"),
+], ids=["pauli-axis", "spin-one-axis", "two-component-axis", "generator-spin"])
+def test_input_checks_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_series_matches_closed_form():
     rng = np.random.default_rng(SEED)
     worst = 0.0

@@ -118,6 +118,18 @@ def test_constructor_guards():
         StateVector([np.nan, 0], UP_DOWN)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: StateVector([[1, 0], [0, 0]], UP_DOWN), ValueError, "1-d amplitude array"),
+    (lambda: MatrixOperator([[1, 0, 0], [0, 1, 0]]), ValueError, "square matrix"),
+    (lambda: basis_state(UP_DOWN, 0).index_of("x"), KeyError, "no basis label"),
+    (lambda: inner(basis_state(UP_DOWN, 0), basis_state(("a", "b", "c"), 0)), ValueError,
+     "dim mismatch"),
+], ids=["2d-amplitudes", "non-square", "missing-label", "inner-dims"])
+def test_input_checks_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_states_are_frozen():
     s = basis_state(UP_DOWN, 0)
     with pytest.raises(ValueError):
