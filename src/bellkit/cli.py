@@ -163,6 +163,8 @@ def _parse_state(values, dim: int) -> tensor.StateVector:
         raise UsageError("--state amplitudes are too large: |amps|^2 overflows")
     if norm == 0.0:
         raise UsageError("state vector is zero")
+    if norm < sys.float_info.min:
+        raise UsageError("--state amplitudes are too small: |amps|^2 underflows")
     if abs(norm - 1.0) > tensor.TOL_NORM:
         print(f"warning: renormalizing input state (|amps|^2 = {norm!r})", file=sys.stderr)
     return tensor.normalized(amps, labels)
@@ -263,13 +265,13 @@ def _pair(name, description, bound, figure, distribution, delta, *extra) -> RunR
     of distribution at (0, delta deg); extra lines go after the bound line."""
     quantum = getattr(distribution(0.0, math.radians(delta)), figure)()
     classical = {
-        "strategy_count": len(bound.candidates),
+        "strategy_count": len(bound.scores),
         "optimizer_count": len(bound.optimizers),
         "optimizers": [card_string(t) for t in bound.optimizers],
     }
     return _against_bound(name, f"{figure}_delta{delta}", quantum, bound, classical, (
         f"scenario {name}: {description}",
-        f"strategies: {len(bound.candidates)}",
+        f"strategies: {len(bound.scores)}",
         _bound_line(figure, bound),
         *extra,
         f"quantum {figure} at delta={delta}deg: {_fmt(quantum)}",
@@ -301,7 +303,7 @@ def _cards_at(cases: dict) -> str:
 def _hardy() -> RunReport:
     stages = lhvt.hardy_stages()
     count, bound = len(stages.all_strategies), stages.bound
-    feasible = [card_string(t) for t in bound.candidates]
+    feasible = [card_string(t) for t in stages.feasible]
     quantum = stages.runs[0].probability_of("pass", "pass")
     classical = {"strategy_count": count, "feasible_count": len(feasible), "feasible": feasible}
     return _against_bound("hardy", "pass_pass_at_00", quantum, bound, classical, (
@@ -491,7 +493,9 @@ def cmd_report(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bellkit", description=__doc__)
+    parser = _Parser(prog="bellkit", description=(
+        "Exact quantum values against local hidden-variable bounds for Bell-type experiments"
+    ))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pair", help="two-photon joint outcome table or correlation sweep")

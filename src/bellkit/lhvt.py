@@ -17,14 +17,14 @@ most significant bit first, a 0 bit meaning +1, so rows come in lexicographic
 order with +1 before -1.  Columns fixed by the 90-degree flip rule or by
 identical/opposite cards are signed copies of free columns.  The +/-1
 invariant is checked once per card array, not once per strategy.  Mixtures
-and samples gather run columns from the array.  The canonical two-party
-bounds (grid30, grid120, electron, CHSH) are scored from its run-product
-matrix in one integer pass, and Hardy's pass/pass from the run answers its
-zero filter gathered; StrategyTable objects are built for the candidates and
-optimizers a bound reports, and for agreement_fraction and
-antiparallel_fraction, which score one strategy at a time (_extremize).  At
-most MAX_STRATEGIES = 2**16 strategies are enumerated; larger spaces are
-refused before any array is allocated.
+and samples gather from its int8 run-product matrix.  The canonical two-party
+bounds (grid30, grid120, electron, CHSH) are scored from that matrix in one
+integer pass, and Hardy's pass/pass from the run answers its zero filter
+gathered.  StrategyTable objects are built only for what a result lists: a
+bound's optimizers, the Hardy and GHZ stages, enumerate_strategies, and the
+tables agreement_fraction and antiparallel_fraction score one at a time
+(_extremize).  At most MAX_STRATEGIES = 2**16 strategies are enumerated;
+larger spaces are refused before any array is allocated.
 """
 
 from __future__ import annotations
@@ -136,17 +136,14 @@ class ClassicalBound:
 
     Mixtures cannot beat it: the figure of merit is an average of per-run
     scores, so it is affine in the mixing weights and extremized at a vertex.
-    candidates lists the strategies the extremum ranges over, in enumeration
-    order: the whole space, or the strategies a filter let through.  scores
-    holds each candidate's figure of merit, in the same order, for bounds
-    scored as an array; it is empty for bounds scored one table at a time.
+    scores holds each strategy's figure of merit, in enumeration order, over
+    the whole space or the strategies a filter let through.
     """
 
     value: Fraction
     direction: str
     optimizers: tuple[StrategyTable, ...]
-    candidates: tuple[StrategyTable, ...] = field(default=(), repr=False)
-    scores: tuple[Fraction, ...] = field(default=(), repr=False, compare=False)
+    scores: tuple[Fraction, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.direction not in ("max", "min"):
@@ -303,22 +300,22 @@ def _extremize(spec, score, direction) -> ClassicalBound:
     scores = [score(t) for t in tables]
     best = max(scores) if direction == "max" else min(scores)
     optimizers = tuple(t for t, s in zip(tables, scores) if s == best)
-    return ClassicalBound(best, direction, optimizers, tuple(tables))
+    return ClassicalBound(best, direction, optimizers, tuple(scores))
 
 
 def _array_bound(
-    tables, numerators: np.ndarray, denominator: int, direction: str
+    spec: ScenarioSpec, cards: np.ndarray, numerators: np.ndarray, denominator: int, direction: str
 ) -> ClassicalBound:
-    """The bound over tables whose figures of merit are numerators / denominator,
-    one integer per table in enumeration order.  The best is taken on the
-    integers, the optimizers keep enumeration order, and each distinct
-    Fraction is built once."""
+    """The bound over the card rows whose figures of merit are numerators /
+    denominator, one integer per row in enumeration order.  The best is taken
+    on the integers, tables are built for the optimizers only, in enumeration
+    order, and each distinct Fraction is built once."""
     values = numerators.tolist()
     best = max(values) if direction == "max" else min(values)
     fractions = {n: Fraction(n, denominator) for n in set(values)}
-    optimizers = tuple(tables[i] for i in np.flatnonzero(numerators == best).tolist())
+    optimizers = tuple(_tables(spec, cards[numerators == best]))
     return ClassicalBound(
-        fractions[best], direction, optimizers, tuple(tables), tuple(fractions[n] for n in values)
+        fractions[best], direction, optimizers, tuple(fractions[n] for n in values)
     )
 
 
@@ -331,7 +328,7 @@ def _pair_bound(spec: ScenarioSpec, figure: str, direction: str) -> ClassicalBou
     runs = len(spec.runs)
     sums = _run_products(spec, cards).sum(axis=1, dtype=np.int64)
     hits = (runs + sums if figure == "agreement" else runs - sums) // 2
-    return _array_bound(_tables(spec, cards), hits, runs, direction)
+    return _array_bound(spec, cards, hits, runs, direction)
 
 
 def max_agreement_30grid() -> ClassicalBound:
@@ -361,7 +358,7 @@ def _quantum_zeros(distributions) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def _forbidden(spec: ScenarioSpec, cases: dict):
-    """Every strategy, its +/-1 answers on every run (shape (strategies, runs,
+    """The card array, its +/-1 answers on every run (shape (strategies, runs,
     parties)), and for each strategy the set of case letters whose quantum
     distribution forbids the outcome it would produce; cases maps each run's
     letter to its distribution, in run order.  Hardy's zeros and the GHZ
@@ -372,18 +369,19 @@ def _forbidden(spec: ScenarioSpec, cases: dict):
     for r, signs in _quantum_zeros(cases.values()):
         forbidden[:, r] |= (answers[:, r] == signs).all(axis=1)
     hits = [frozenset(compress(cases, row)) for row in forbidden.tolist()]
-    return _tables(spec, cards), answers, hits
+    return cards, answers, hits
 
 
 @dataclass(frozen=True)
 class HardyStages:
     """Every Hardy card pair; for each, the case letters whose forbidden
-    outcome it would produce; the pass/pass bound at (0,0) over the pairs that
-    produce none (its candidates); and the quantum runs A-D the zeros were
-    read from."""
+    outcome it would produce; the pairs that produce none; the pass/pass bound
+    at (0,0) over those feasible pairs; and the quantum runs A-D the zeros
+    were read from."""
 
     all_strategies: tuple[StrategyTable, ...]
     eliminated_by: tuple[frozenset[str], ...]
+    feasible: tuple[StrategyTable, ...]
     bound: ClassicalBound
     runs: tuple[experiments.OutcomeDistribution, ...]
 
@@ -391,12 +389,15 @@ class HardyStages:
 def hardy_stages() -> HardyStages:
     """Eliminate every card pair that would produce an outcome a Hardy run
     forbids, then bound pass/pass (both answers +1) at (0,0) over the rest."""
+    spec = hardy_scenario()
     runs = {c: experiments.hardy_distribution(*a) for c, a in experiments.HARDY_CASES.items()}
-    tables, answers, hits = _forbidden(hardy_scenario(), runs)
+    cards, answers, hits = _forbidden(spec, runs)
+    tables = _tables(spec, cards)
     feasible = [i for i, hit in enumerate(hits) if not hit]
     passpass = (answers[feasible, 0] == PASS).all(axis=1).astype(np.int64)
-    bound = _array_bound([tables[i] for i in feasible], passpass, 1, "max")
-    return HardyStages(tuple(tables), tuple(hits), bound, tuple(runs.values()))
+    bound = _array_bound(spec, cards[feasible], passpass, 1, "max")
+    survivors = tuple(tables[i] for i in feasible)
+    return HardyStages(tuple(tables), tuple(hits), survivors, bound, tuple(runs.values()))
 
 
 def hardy_constraints() -> list[tuple[tuple[float, float], tuple[int, ...], str]]:
@@ -415,12 +416,12 @@ def hardy_elimination() -> dict[tuple[tuple[int, ...], tuple[int, ...]], frozens
 
 def hardy_feasible_set() -> list[StrategyTable]:
     """Card pairs consistent with every zero of the quantum Hardy distribution."""
-    return list(hardy_stages().bound.candidates)
+    return list(hardy_stages().feasible)
 
 
 def hardy_passpass_bound() -> ClassicalBound:
-    """Ceiling on pass/pass at the (0,0) setting over the feasible cards (its
-    candidates); the quantum value there is strictly positive."""
+    """Ceiling on pass/pass at the (0,0) setting over the feasible cards; the
+    quantum value there is strictly positive."""
     return hardy_stages().bound
 
 
@@ -443,7 +444,9 @@ def ghz_elimination_stages() -> GhzStages:
     for letter, case in cases.items():
         if case.certain_parity is None:
             raise RuntimeError(f"case {letter} has no certain parity; nothing to filter on")
-    tables, _, hits = _forbidden(ghz_scenario(), {c: p.distribution for c, p in cases.items()})
+    spec = ghz_scenario()
+    cards, _, hits = _forbidden(spec, {c: p.distribution for c, p in cases.items()})
+    tables = _tables(spec, cards)
     return GhzStages(
         tuple(tables),
         tuple(t for t, hit in zip(tables, hits) if "A" not in hit),
@@ -474,12 +477,11 @@ def chsh_classical(
     for g in values:
         if g not in (2, -2):
             raise RuntimeError(f"deterministic combination {g} escaped +/-2")
-    tables = _tables(spec, cards)
     return ChshClassical(
         spec,
         values,
-        _array_bound(tables, gammas, 1, "max"),
-        _array_bound(tables, gammas, 1, "min"),
+        _array_bound(spec, cards, gammas, 1, "max"),
+        _array_bound(spec, cards, gammas, 1, "min"),
     )
 
 
@@ -488,7 +490,7 @@ def chsh_classical(
 
 def exact_mixture_correlations(spec: ScenarioSpec, weights) -> np.ndarray:
     """Per-run expected outcome product under a mixture of strategies."""
-    products = _product_matrix(spec)
+    products = _run_products(spec, _cards(spec))
     return _checked_weights(weights, len(products)) @ products
 
 
@@ -515,13 +517,6 @@ def _checked_weights(weights, n: int) -> np.ndarray:
 def _run_products(spec: ScenarioSpec, cards: np.ndarray) -> np.ndarray:
     """Outcome product of every strategy on every run, +/-1 int8, shape (strategies, runs)."""
     return np.prod(cards[:, _run_columns(spec)], axis=2, dtype=np.int8)
-
-
-def _product_matrix(spec: ScenarioSpec) -> np.ndarray:
-    """_run_products as floats, for mixtures and samples."""
-    # C order, as a matrix built row by row: the mixture matmul then sums in
-    # the same order and gives the same bits.
-    return _run_products(spec, _cards(spec)).astype(float, order="C")
 
 
 @dataclass(frozen=True)
@@ -551,13 +546,13 @@ def monte_carlo_mixture(
     finite-statistics view of it."""
     if not 1 <= trials <= MAX_MC_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_MC_TRIALS}; got {trials}")
-    products = _product_matrix(spec)
+    products = _run_products(spec, _cards(spec))
     w = _checked_weights(weights, len(products))
 
     rng = np.random.default_rng(rng_seed)
     strat = rng.choice(len(products), size=trials, p=w)
     run_idx = rng.integers(0, len(spec.runs), size=trials)
-    values = products[strat, run_idx]
+    values = products[strat, run_idx].astype(float)
 
     counts, means, errors = [], [], []
     for r in range(len(spec.runs)):

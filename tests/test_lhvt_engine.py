@@ -149,8 +149,8 @@ def test_engine_matches_loop_enumerator(index):
     assert lhvt.enumerate_strategies(spec) == tables
 
     products = reference_products(spec, tables)
-    engine_products = lhvt._product_matrix(spec)
-    assert engine_products.dtype == products.dtype
+    engine_products = lhvt._run_products(spec, lhvt._cards(spec))
+    assert engine_products.dtype == np.int8
     assert np.array_equal(engine_products, products)
 
     scores = [reference_agreement(spec, t) for t in tables]
@@ -202,8 +202,8 @@ def assert_same_bound(bound, spec, fraction, direction):
     assert type(bound.value) is Fraction and bound.value == reference.value
     assert bound.direction == direction
     assert bound.optimizers == reference.optimizers
-    assert bound.candidates == reference.candidates
-    assert bound.scores == tuple(fraction(spec, t) for t in reference.candidates)
+    assert bound.scores == tuple(fraction(spec, t) for t in lhvt.enumerate_strategies(spec))
+    assert bound.scores == reference.scores
 
 
 @pytest.mark.parametrize("bound, scenario, figure", [
@@ -242,3 +242,46 @@ def test_chsh_classical_matches_per_table_scoring(angles):
     for bound, direction in ((classical.max_bound, "max"), (classical.min_bound, "min")):
         assert_same_bound(bound, spec, chsh_fraction, direction)
     assert classical.max_bound.value == 2 and classical.min_bound.value == -2
+
+
+# --- tables only for what a bound lists ------------------------------------------
+
+
+@pytest.mark.parametrize("compute", [
+    lhvt.max_agreement_30grid,
+    lhvt.min_agreement_120grid,
+    lhvt.min_antiparallel_electron,
+    lambda: lhvt.chsh_classical(*CHSH_ANGLES[0]),
+    lambda: lhvt.chsh_classical(*CHSH_ANGLES[1]),
+], ids=["grid30", "grid120", "electron", "chsh-photon", "chsh-electron"])
+def test_bounds_build_tables_for_their_optimizers_only(compute, monkeypatch):
+    rows, build = [], lhvt._tables
+
+    def counting(spec, cards):
+        rows.append(len(cards))
+        return build(spec, cards)
+
+    monkeypatch.setattr(lhvt, "_tables", counting)
+    result = compute()
+    if isinstance(result, lhvt.ChshClassical):
+        bounds = (result.max_bound, result.min_bound)
+    else:
+        bounds = (result,)
+    assert rows == [len(b.optimizers) for b in bounds]
+
+
+def test_pair_bound_at_the_enumeration_ceiling():
+    # 2 parties x 8 settings scored over all 64 runs: 2^16 strategies
+    angles = tuple(float(k) for k in range(8))
+    spec = lhvt.ScenarioSpec(
+        "ceiling", 2, (angles, angles), tuple((a, b) for a in angles for b in angles)
+    )
+    up, down = (PASS,) * 8, (STOP,) * 8
+    for direction, value, optimizers in (
+        ("max", 1, ((up, up), (down, down))),
+        ("min", 0, ((up, down), (down, up))),
+    ):
+        bound = lhvt._pair_bound(spec, "agreement", direction)
+        assert type(bound.value) is Fraction and bound.value == value
+        assert tuple(t.outcomes for t in bound.optimizers) == optimizers
+        assert len(bound.scores) == lhvt.MAX_STRATEGIES == 2**16
