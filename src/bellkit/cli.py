@@ -86,9 +86,9 @@ def _fmt_matrix(entries) -> str:
     return "\n".join("  ".join(_fmt_complex(z) for z in row) for row in entries)
 
 
-def card_string(table: lhvt.StrategyTable) -> str:
+def card_string(strategy: lhvt.Strategy) -> str:
     """Compact rendering of a strategy: one +/- run per party."""
-    return " ".join("".join("+" if v > 0 else "-" for v in row) for row in table.outcomes)
+    return " ".join("".join("+" if v > 0 else "-" for v in row) for row in strategy)
 
 
 # --- pair -------------------------------------------------------------------
@@ -119,7 +119,7 @@ def cmd_poincare(args) -> int:
     if ax < 0 or ay < 0:
         raise UsageError("amplitude moduli must be non-negative")
     n2 = ax * ax + ay * ay
-    if n2 == 0.0:
+    if ax == 0 and ay == 0:
         raise UsageError("both amplitudes are zero; nothing to normalize")
     if abs(n2 - 1.0) > 1e-6:
         raise UsageError(f"alpha_x^2 + alpha_y^2 = {n2!r}; expected 1 within 1e-6")
@@ -161,7 +161,7 @@ def _parse_state(values, dim: int) -> tensor.StateVector:
         norm = math.inf
     if not math.isfinite(norm):
         raise UsageError("--state amplitudes are too large: |amps|^2 overflows")
-    if norm == 0.0:
+    if not any(amps):
         raise UsageError("state vector is zero")
     if norm < sys.float_info.min:
         raise UsageError("--state amplitudes are too small: |amps|^2 underflows")
@@ -478,7 +478,7 @@ def cmd_report(args) -> int:
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
         text = _report_table(rows)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

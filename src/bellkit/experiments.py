@@ -71,14 +71,6 @@ CHSH_PHOTON_SETTINGS = (math.pi / 4, math.pi / 2, 3 * math.pi / 8, math.pi / 8)
 CHSH_ELECTRON_SETTINGS = (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
 
-@dataclass(frozen=True)
-class AnalyzerSetting:
-    """One party's analyzer orientation (radians, measured in its own frame)."""
-
-    party: int
-    angle: float
-
-
 @functools.cache
 def _joint(values: tuple, parties: int) -> tuple[tuple, ...]:
     """Every joint outcome over the per-party values, in row order."""
@@ -88,10 +80,11 @@ def _joint(values: tuple, parties: int) -> tuple[tuple, ...]:
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities of every joint +/-1 outcome of one run: probabilities[i]
-    belongs to signs[i].  labels names the carrier's +1 and -1 outcomes for the
-    labeled views, outcomes and probability_of."""
+    belongs to signs[i].  settings[p] is party p's analyzer angle (radians,
+    measured in its own frame).  labels names the carrier's +1 and -1
+    outcomes for the labeled views, outcomes and probability_of."""
 
-    settings: tuple[AnalyzerSetting, ...]
+    settings: tuple[float, ...]
     probabilities: tuple[float, ...]
     labels: tuple[str, str]
 
@@ -182,8 +175,7 @@ def _born_rows(state: StateVector, angles, plus: tuple[int, ...]) -> list[list[f
 
 
 def _distribution(row: list[float], angles, outcome_labels) -> OutcomeDistribution:
-    settings = tuple(AnalyzerSetting(p + 1, a) for p, a in enumerate(angles))
-    return OutcomeDistribution(settings, tuple(row), outcome_labels)
+    return OutcomeDistribution(tuple(angles), tuple(row), outcome_labels)
 
 
 def _correlations(rows, runs, labels) -> list[float]:

@@ -20,11 +20,13 @@ invariant is checked once per card array, not once per strategy.  Mixtures
 and samples gather from its int8 run-product matrix.  The canonical two-party
 bounds (grid30, grid120, electron, CHSH) are scored from that matrix in one
 integer pass, and Hardy's pass/pass from the run answers its zero filter
-gathered.  StrategyTable objects are built only for what a result lists: a
-bound's optimizers, the Hardy and GHZ stages, enumerate_strategies, and the
-tables agreement_fraction and antiparallel_fraction score one at a time
-(_extremize).  At most MAX_STRATEGIES = 2**16 strategies are enumerated;
-larger spaces are refused before any array is allocated.
+gathered.  A strategy is a plain tuple with one tuple of +/-1 answers per
+party, in that party's setting order (Strategy).  Strategies are built only
+for what a result lists: a bound's optimizers, the Hardy and GHZ stages,
+enumerate_strategies, and the ones agreement_fraction and
+antiparallel_fraction score one at a time (_extremize).  At most
+MAX_STRATEGIES = 2**16 strategies are enumerated; larger spaces are refused
+before any array is allocated.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ MAX_MC_TRIALS = 1_000_000
 
 # A quantum probability at or below this is treated as an exact zero constraint.
 ZERO_TOL = 1e-12
+
+# One deterministic strategy: strategy[p][k] is party p's +/-1 answer at its
+# k-th setting.
+Strategy = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -107,42 +113,19 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class StrategyTable:
-    """One deterministic instruction card per party: outcomes[p][k] is party
-    p's +/-1 answer at its k-th setting."""
-
-    outcomes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for row in self.outcomes:
-            for value in row:
-                if value not in (PASS, STOP):
-                    raise ValueError(f"outcome {value!r} is not +1 or -1")
-
-    @classmethod
-    def _unchecked(cls, outcomes: tuple[tuple[int, ...], ...]) -> StrategyTable:
-        """A table from outcomes the caller has already checked."""
-        table = object.__new__(cls)
-        object.__setattr__(table, "outcomes", outcomes)
-        return table
-
-    def outcome(self, party: int, setting_index: int) -> int:
-        return self.outcomes[party][setting_index]
-
-
-@dataclass(frozen=True)
 class ClassicalBound:
     """Extremal value of a figure of merit over the deterministic strategies.
 
     Mixtures cannot beat it: the figure of merit is an average of per-run
     scores, so it is affine in the mixing weights and extremized at a vertex.
-    scores holds each strategy's figure of merit, in enumeration order, over
-    the whole space or the strategies a filter let through.
+    optimizers lists the strategies that reach it and scores holds each
+    strategy's figure of merit, both in enumeration order, over the whole
+    space or the strategies a filter let through.
     """
 
     value: Fraction
     direction: str
-    optimizers: tuple[StrategyTable, ...]
+    optimizers: tuple[Strategy, ...]
     scores: tuple[Fraction, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -211,32 +194,30 @@ def _run_columns(spec: ScenarioSpec) -> np.ndarray:
     return columns
 
 
-def _tables(spec: ScenarioSpec, cards: np.ndarray) -> list[StrategyTable]:
+def _tables(spec: ScenarioSpec, cards: np.ndarray) -> list[Strategy]:
     bounds = _column_offsets(spec) + [cards.shape[1]]
-    rows = zip(*(map(tuple, cards[:, lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])))
-    return [StrategyTable._unchecked(outcomes) for outcomes in rows]
+    return list(zip(*(map(tuple, cards[:, lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:]))))
 
 
-def enumerate_strategies(spec: ScenarioSpec) -> list[StrategyTable]:
+def enumerate_strategies(spec: ScenarioSpec) -> list[Strategy]:
     """All strategies consistent with the scenario's constraints, in a fixed
     lexicographic order (party-major, setting-minor, +1 before -1)."""
     return _tables(spec, _cards(spec))
 
 
-def _agreements(spec: ScenarioSpec, table: StrategyTable) -> int:
+def _agreements(spec: ScenarioSpec, strategy: Strategy) -> int:
     """Number of the scenario's runs on which all parties answer alike."""
-    rows = table.outcomes
-    return sum(1 for run in spec.run_index if len(set(map(getitem, rows, run))) == 1)
+    return sum(1 for run in spec.run_index if len(set(map(getitem, strategy, run))) == 1)
 
 
-def agreement_fraction(spec: ScenarioSpec, table: StrategyTable) -> Fraction:
+def agreement_fraction(spec: ScenarioSpec, strategy: Strategy) -> Fraction:
     """Fraction of the scenario's runs on which all parties answer alike."""
-    return Fraction(_agreements(spec, table), len(spec.runs))
+    return Fraction(_agreements(spec, strategy), len(spec.runs))
 
 
-def antiparallel_fraction(spec: ScenarioSpec, table: StrategyTable) -> Fraction:
+def antiparallel_fraction(spec: ScenarioSpec, strategy: Strategy) -> Fraction:
     """Two-party fraction of runs with opposite answers."""
-    return Fraction(len(spec.runs) - _agreements(spec, table), len(spec.runs))
+    return Fraction(len(spec.runs) - _agreements(spec, strategy), len(spec.runs))
 
 
 # --- canonical scenarios ----------------------------------------------------
@@ -296,10 +277,10 @@ def chsh_scenario(
 
 
 def _extremize(spec, score, direction) -> ClassicalBound:
-    tables = enumerate_strategies(spec)
-    scores = [score(t) for t in tables]
+    strategies = enumerate_strategies(spec)
+    scores = [score(t) for t in strategies]
     best = max(scores) if direction == "max" else min(scores)
-    optimizers = tuple(t for t, s in zip(tables, scores) if s == best)
+    optimizers = tuple(t for t, s in zip(strategies, scores) if s == best)
     return ClassicalBound(best, direction, optimizers, tuple(scores))
 
 
@@ -308,8 +289,8 @@ def _array_bound(
 ) -> ClassicalBound:
     """The bound over the card rows whose figures of merit are numerators /
     denominator, one integer per row in enumeration order.  The best is taken
-    on the integers, tables are built for the optimizers only, in enumeration
-    order, and each distinct Fraction is built once."""
+    on the integers, strategies are built for the optimizers only, in
+    enumeration order, and each distinct Fraction is built once."""
     values = numerators.tolist()
     best = max(values) if direction == "max" else min(values)
     fractions = {n: Fraction(n, denominator) for n in set(values)}
@@ -379,9 +360,9 @@ class HardyStages:
     at (0,0) over those feasible pairs; and the quantum runs A-D the zeros
     were read from."""
 
-    all_strategies: tuple[StrategyTable, ...]
+    all_strategies: tuple[Strategy, ...]
     eliminated_by: tuple[frozenset[str], ...]
-    feasible: tuple[StrategyTable, ...]
+    feasible: tuple[Strategy, ...]
     bound: ClassicalBound
     runs: tuple[experiments.OutcomeDistribution, ...]
 
@@ -400,21 +381,14 @@ def hardy_stages() -> HardyStages:
     return HardyStages(tuple(tables), tuple(hits), survivors, bound, tuple(runs.values()))
 
 
-def hardy_constraints() -> list[tuple[tuple[float, float], tuple[int, ...], str]]:
-    """Joint outcomes the quantum Hardy distribution forbids, as (run, outcome
-    signs, case letter); read off the computed distributions, not transcribed."""
-    runs, letters = hardy_scenario().runs, list(experiments.HARDY_CASES)
-    return [(runs[r], signs, letters[r]) for r, signs in _quantum_zeros(hardy_stages().runs)]
-
-
-def hardy_elimination() -> dict[tuple[tuple[int, ...], tuple[int, ...]], frozenset[str]]:
+def hardy_elimination() -> dict[Strategy, frozenset[str]]:
     """For every pair of cards, the set of case letters whose forbidden outcome
     that strategy would produce (empty set = strategy survives)."""
     stages = hardy_stages()
-    return {t.outcomes: hit for t, hit in zip(stages.all_strategies, stages.eliminated_by)}
+    return dict(zip(stages.all_strategies, stages.eliminated_by))
 
 
-def hardy_feasible_set() -> list[StrategyTable]:
+def hardy_feasible_set() -> list[Strategy]:
     """Card pairs consistent with every zero of the quantum Hardy distribution."""
     return list(hardy_stages().feasible)
 
@@ -430,9 +404,9 @@ class GhzStages:
     """Strategy counts as the parity constraints are applied one case at a
     time, and the four quantum cases A-D the constraints were read from."""
 
-    all_strategies: tuple[StrategyTable, ...]
-    after_case_a: tuple[StrategyTable, ...]
-    feasible: tuple[StrategyTable, ...]
+    all_strategies: tuple[Strategy, ...]
+    after_case_a: tuple[Strategy, ...]
+    feasible: tuple[Strategy, ...]
     cases: tuple[experiments.GhzParity, ...]
 
 

@@ -434,11 +434,17 @@ def test_report_out_unwritable(capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_report_out_empty_path_is_not_stdout(capsys):
+    assert run_cli("report", "--all", "--out", "") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write" in captured.err
+
+
 def test_report_numbers_come_from_the_library(monkeypatch, capsys):
     # monkeypatching the pair distribution must change the report, proving the
     # report recomputes rather than echoing stored constants
-    settings = (experiments.AnalyzerSetting(1, 0.0), experiments.AnalyzerSetting(2, 0.0))
-    flat = experiments.OutcomeDistribution(settings, (0.25,) * 4, experiments.PHOTON_OUTCOMES)
+    flat = experiments.OutcomeDistribution((0.0, 0.0), (0.25,) * 4, experiments.PHOTON_OUTCOMES)
     monkeypatch.setattr(experiments, "entangled_pair_distribution", lambda t1, t2: flat)
     assert run_cli("report", "--all", "--format", "json") == 0
     data = json.loads(capsys.readouterr().out)
@@ -510,14 +516,19 @@ def test_non_finite_input_exits_1(argv, capsys):
     # a nonzero but subnormal |amps|^2 cannot be normalized to 1
     (None, ("rotate", "--spin", "half", "--euler", "0", "0", "0",
             "--state", "1e-160", "0", "0", "0"), "|amps|^2 underflows"),
+    # nonzero amplitudes whose squares underflow to 0.0 are not a zero state
+    (None, ("rotate", "--spin", "half", "--euler", "0", "0", "0",
+            "--state", "1e-170", "0", "1e-170", "0"), "|amps|^2 underflows"),
+    (None, ("poincare", "--alpha-x", "1e-200", "--alpha-y", "1e-200"),
+     "alpha_x^2 + alpha_y^2 = 0.0; expected 1 within 1e-6"),
     (None, ("lhvt", "--scenario", "grid30", "--angles", "0", "1", "2", "3", "--mc-trials", "5"),
      "apply only to --scenario chsh"),
     (None, ("lhvt", "--scenario", "hardy", "--angles", "0", "1", "2", "3"),
      "apply only to --scenario chsh"),
     (None, ("lhvt", "--scenario", "ghz", "--mc-trials", "5"), "apply only to --scenario chsh"),
 ], ids=["seed-flag", "seed-env-text", "seed-env-negative", "state-overflow",
-        "state-sum-overflow", "state-underflow", "grid30-chsh-options", "hardy-angles",
-        "ghz-trials"])
+        "state-sum-overflow", "state-underflow", "state-squares-underflow",
+        "poincare-squares-underflow", "grid30-chsh-options", "hardy-angles", "ghz-trials"])
 def test_bad_input_exits_1_before_any_output(env, argv, message, monkeypatch, capsys):
     if env is not None:
         monkeypatch.setenv("BELLKIT_SEED", env)
@@ -564,7 +575,7 @@ def test_negative_non_finite_numbers_exit_1(argv, capsys):
 
 
 def test_card_string():
-    assert cli.card_string(lhvt.StrategyTable(((1, -1), (-1, 1)))) == "+- -+"
+    assert cli.card_string(((1, -1), (-1, 1))) == "+- -+"
 
 
 # --- fuzzed exit contract -----------------------------------------------------

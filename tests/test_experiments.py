@@ -191,7 +191,7 @@ def test_chsh_never_exceeds_quantum_bound():
 
 
 def test_distribution_guards():
-    settings = (ex.AnalyzerSetting(1, 0.0), ex.AnalyzerSetting(2, 0.0))
+    settings = (0.0, 0.0)
     with pytest.raises(ValueError):
         ex.OutcomeDistribution(settings, (0.5, 0.0, 0.0, 0.0), ex.PHOTON_OUTCOMES)
     with pytest.raises(ValueError):
@@ -204,7 +204,7 @@ def test_distribution_guards():
 
 
 def test_probability_row_needs_one_entry_per_joint_outcome():
-    settings = (ex.AnalyzerSetting(1, 0.0), ex.AnalyzerSetting(2, 0.0))
+    settings = (0.0, 0.0)
     with pytest.raises(ValueError):
         ex.OutcomeDistribution(settings, (1.0,), ex.PHOTON_OUTCOMES)
     with pytest.raises(ValueError):
@@ -213,9 +213,19 @@ def test_probability_row_needs_one_entry_per_joint_outcome():
 
 @pytest.mark.parametrize("labels", [("pass",), ("pass", "pass"), ("pass", "stop", "skip")])
 def test_labels_name_two_distinct_outcomes(labels):
-    settings = (ex.AnalyzerSetting(1, 0.0), ex.AnalyzerSetting(2, 0.0))
+    settings = (0.0, 0.0)
     with pytest.raises(ValueError):
         ex.OutcomeDistribution(settings, (0.25,) * 4, labels)
+
+
+def test_settings_are_the_angles_passed_in():
+    assert ex.entangled_pair_distribution(0.3, 0.1).settings == (0.3, 0.1)
+    assert ex.hardy_distribution(0.0, math.pi / 4).settings == (0.0, math.pi / 4)
+    assert ex.electron_singlet_distribution(0.3, -0.1).settings == (0.3, -0.1)
+    for case, angles in ex.GHZ_CASES.items():
+        assert ex.ghz_parity_distribution(case).distribution.settings == angles
+    built = ex.OutcomeDistribution((0.0, 0.5), (0.25,) * 4, ex.PHOTON_OUTCOMES)
+    assert built.settings == (0.0, 0.5)
 
 
 def test_labeled_views_follow_the_signed_row():

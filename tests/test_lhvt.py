@@ -13,19 +13,54 @@ from bellkit.lhvt import PASS, STOP
 SEED = 20260823
 
 
-def run_outcomes(spec, table, run) -> tuple[int, ...]:
-    """Each party's card answer for one joint setting, read one table at a time."""
-    return tuple(table.outcome(p, spec.setting_index(p, a)) for p, a in enumerate(run))
+def run_outcomes(spec, strategy, run) -> tuple[int, ...]:
+    """Each party's card answer for one joint setting, read one strategy at a time."""
+    return tuple(strategy[p][spec.setting_index(p, a)] for p, a in enumerate(run))
 
 
 def test_enumeration_order_and_count():
     spec = lhvt.chsh_scenario(45.0, 90.0, 67.5, 22.5)
     tables = lhvt.enumerate_strategies(spec)
     assert len(tables) == 16
-    assert tables[0].outcomes == ((PASS, PASS), (PASS, PASS))
-    assert tables[1].outcomes == ((PASS, PASS), (PASS, STOP))
-    assert tables[-1].outcomes == ((STOP, STOP), (STOP, STOP))
-    assert len({t.outcomes for t in tables}) == 16
+    assert tables[0] == ((PASS, PASS), (PASS, PASS))
+    assert tables[1] == ((PASS, PASS), (PASS, STOP))
+    assert tables[-1] == ((STOP, STOP), (STOP, STOP))
+    assert len(set(tables)) == 16
+
+
+def test_strategies_are_plain_answer_tuples():
+    def is_strategy(t, spec):
+        return (
+            type(t) is tuple
+            and all(type(row) is tuple for row in t)
+            and tuple(map(len, t)) == tuple(map(len, spec.settings))
+            and all(v in (PASS, STOP) for row in t for v in row)
+        )
+
+    chsh = lhvt.chsh_scenario(45.0, 90.0, 67.5, 22.5)
+    hardy, ghz = lhvt.hardy_stages(), lhvt.ghz_elimination_stages()
+    groups = [
+        (chsh, lhvt.enumerate_strategies(chsh)),
+        (chsh, lhvt.chsh_classical(45.0, 90.0, 67.5, 22.5).max_bound.optimizers),
+        (lhvt.grid30_scenario(), lhvt.max_agreement_30grid().optimizers),
+        (lhvt.hardy_scenario(), hardy.all_strategies + hardy.feasible),
+        (lhvt.hardy_scenario(), hardy.bound.optimizers + tuple(lhvt.hardy_feasible_set())),
+        (lhvt.ghz_scenario(), ghz.all_strategies + ghz.after_case_a + ghz.feasible),
+    ]
+    for spec, strategies in groups:
+        assert strategies and all(is_strategy(t, spec) for t in strategies)
+
+
+def test_cards_refuse_an_answer_other_than_plus_or_minus_one(monkeypatch):
+    card_columns = lhvt._card_columns
+
+    def zero_sign(spec):
+        slots, signs, free = card_columns(spec)
+        return slots, [0] + signs[1:], free
+
+    monkeypatch.setattr(lhvt, "_card_columns", zero_sign)
+    with pytest.raises(RuntimeError, match=r"other than \+1 or -1"):
+        lhvt.enumerate_strategies(lhvt.chsh_scenario(45.0, 90.0, 67.5, 22.5))
 
 
 def test_flip_rule_invariant_on_30_grid():
@@ -38,14 +73,14 @@ def test_flip_rule_invariant_on_30_grid():
             for angle in spec.settings[p]:
                 partner = (angle + 90.0) % 360.0
                 k, kp = spec.setting_index(p, angle), spec.setting_index(p, partner)
-                assert t.outcome(p, kp) == -t.outcome(p, k)
+                assert t[p][kp] == -t[p][k]
 
 
 def test_identical_and_opposite_cards():
     for t in lhvt.enumerate_strategies(lhvt.grid120_scenario()):
-        assert t.outcomes[0] == t.outcomes[1]
+        assert t[0] == t[1]
     for t in lhvt.enumerate_strategies(lhvt.electron_scenario()):
-        assert t.outcomes[1] == tuple(-o for o in t.outcomes[0])
+        assert t[1] == tuple(-o for o in t[0])
 
 
 def test_scenario_validation():
@@ -61,8 +96,6 @@ def test_scenario_validation():
         lhvt.ScenarioSpec("bad", 2, ((0.0,), (0.0,)), ((0.0, 5.0),))
     with pytest.raises(ValueError, match="repeat an angle"):
         lhvt.ScenarioSpec("bad", 2, ((0.0, 0.0), (0.0, 45.0)), ())
-    with pytest.raises(ValueError):
-        lhvt.StrategyTable(((0,),))
 
 
 @pytest.mark.parametrize("run", [(0.0,), (0.0, 45.0, 0.0)], ids=["too-few", "too-many"])
@@ -106,7 +139,7 @@ def test_grid30_bound():
     assert hist == {Fraction(2, 3): 6, Fraction(0, 1): 2}
 
     zero_cards = [
-        t.outcomes[0]
+        t[0]
         for t in lhvt.enumerate_strategies(spec)
         if lhvt.agreement_fraction(spec, t) == 0
     ]
@@ -142,10 +175,11 @@ def test_electron_equal_settings_always_antiparallel():
 
 
 def test_hardy_constraints_derived_from_quantum_zeros():
-    assert lhvt.hardy_constraints() == [
-        ((45.0, 0.0), (PASS, PASS), "B"),
-        ((0.0, 45.0), (PASS, PASS), "C"),
-        ((45.0, 45.0), (STOP, STOP), "D"),
+    # runs B, C and D each forbid one joint outcome
+    assert lhvt._quantum_zeros(lhvt.hardy_stages().runs) == [
+        (1, (PASS, PASS)),
+        (2, (PASS, PASS)),
+        (3, (STOP, STOP)),
     ]
 
 
@@ -163,7 +197,7 @@ def test_quoted_scenarios_read_the_case_tables():
         assert spec.runs == tuple(tuple(map(math.degrees, a)) for a in cases.values())
     stages = lhvt.hardy_stages()
     for dist, angles in zip(stages.runs, experiments.HARDY_CASES.values()):
-        assert tuple(s.angle for s in dist.settings) == angles
+        assert dist.settings == angles
 
 
 def test_chsh_scenario_runs_in_chsh_runs_order():
@@ -198,7 +232,7 @@ def test_hardy_elimination_table():
 
 
 def test_hardy_survivors_and_passpass_bound():
-    survivors = [t.outcomes for t in lhvt.hardy_feasible_set()]
+    survivors = lhvt.hardy_feasible_set()
     assert survivors == [
         ((1, 1), (-1, -1)),
         ((-1, 1), (-1, 1)),
@@ -245,7 +279,7 @@ def test_ghz_forbidden_outcomes_are_the_wrong_parity(case):
 def test_ghz_after_case_a_parity():
     spec = lhvt.ghz_scenario()
     for t in lhvt.ghz_elimination_stages().after_case_a:
-        zero_deg = [t.outcome(p, spec.setting_index(p, 0.0)) for p in range(3)]
+        zero_deg = [t[p][spec.setting_index(p, 0.0)] for p in range(3)]
         assert zero_deg.count(PASS) % 2 == 0
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bellkit import experiments, lhvt
-from bellkit.lhvt import PASS, STOP, StrategyTable
+from bellkit.lhvt import PASS, STOP
 
 SEED = 20261018
 
@@ -20,7 +20,7 @@ SEED = 20261018
 # --- reference: the loop enumerator ------------------------------------------
 
 
-def reference_strategies(spec: lhvt.ScenarioSpec) -> list[StrategyTable]:
+def reference_strategies(spec: lhvt.ScenarioSpec) -> list[lhvt.Strategy]:
     """All strategies by itertools.product over the free outcomes, in the
     documented order (party-major, setting-minor, +1 before -1)."""
     plans, free_counts = [], []
@@ -47,12 +47,12 @@ def reference_strategies(spec: lhvt.ScenarioSpec) -> list[StrategyTable]:
             src = free_rows[0] if shared else free_rows[p]
             flip = -1 if (spec.opposite and p > 0) else 1
             rows.append(tuple(flip * sign * src[slot] for slot, sign in plans[p]))
-        tables.append(StrategyTable(tuple(rows)))
+        tables.append(tuple(rows))
     return tables
 
 
 def reference_run_outcomes(spec, table, run) -> tuple[int, ...]:
-    return tuple(table.outcomes[p][spec.settings[p].index(a)] for p, a in enumerate(run))
+    return tuple(table[p][spec.settings[p].index(a)] for p, a in enumerate(run))
 
 
 def chsh_gamma(spec, table) -> int:
@@ -170,7 +170,7 @@ def test_engine_matches_loop_enumerator(index):
     party = r.randrange(spec.parties)
     angle = r.choice(spec.settings[party])
     k = spec.settings[party].index(angle)
-    marginal = sum(wi * t.outcomes[party][k] for wi, t in zip(normalized, tables))
+    marginal = sum(wi * t[party][k] for wi, t in zip(normalized, tables))
     assert lhvt.exact_marginal_mean(spec, w, party, angle) == pytest.approx(marginal, abs=1e-12)
 
     trials, seed = r.choice((3, 50, 400)), r.randrange(2**31)
@@ -283,5 +283,5 @@ def test_pair_bound_at_the_enumeration_ceiling():
     ):
         bound = lhvt._pair_bound(spec, "agreement", direction)
         assert type(bound.value) is Fraction and bound.value == value
-        assert tuple(t.outcomes for t in bound.optimizers) == optimizers
+        assert bound.optimizers == optimizers
         assert len(bound.scores) == lhvt.MAX_STRATEGIES == 2**16

@@ -99,34 +99,29 @@ def ref_singlet_state() -> StateVector:
     return normalized(kron(up, dn).amps - kron(dn, up).amps, kron(up, dn).labels)
 
 
-def _two(t1, t2):
-    return (ex.AnalyzerSetting(1, t1), ex.AnalyzerSetting(2, t2))
-
-
 def ref_pair(t1, t2):
     rot = kron_op(ref_rotation(t1), ref_rotation(-t2))
-    return ref_distribution(apply(rot, ref_pair_state()), _two(t1, t2), (0, 1),
+    return ref_distribution(apply(rot, ref_pair_state()), (t1, t2), (0, 1),
                             ex.PHOTON_OUTCOMES)
 
 
 def ref_hardy(t1, t2):
     rot = kron_op(ref_rotation(t1), ref_rotation(t2))
-    return ref_distribution(apply(rot, ref_hardy_state()), _two(t1, t2), (0, 0),
+    return ref_distribution(apply(rot, ref_hardy_state()), (t1, t2), (0, 0),
                             ex.PHOTON_OUTCOMES)
 
 
 def ref_singlet(t1, t2):
     u1 = spin.euler_rotation_su2(spin.EulerAngles(t1, 0.0, 0.0))
     u2 = spin.euler_rotation_su2(spin.EulerAngles(t2, 0.0, 0.0))
-    return ref_distribution(apply(kron_op(u1, u2), ref_singlet_state()), _two(t1, t2), (0, 0),
+    return ref_distribution(apply(kron_op(u1, u2), ref_singlet_state()), (t1, t2), (0, 0),
                             ex.ELECTRON_OUTCOMES)
 
 
 def ref_ghz_distribution(case):
     a = ex.GHZ_CASES[case]
     rot = kron_op(kron_op(ref_rotation(a[0]), ref_rotation(a[1])), ref_rotation(a[2]))
-    settings = tuple(ex.AnalyzerSetting(p + 1, x) for p, x in enumerate(a))
-    return ref_distribution(apply(rot, ref_ghz_state()), settings, (0, 0, 0), ex.PHOTON_OUTCOMES)
+    return ref_distribution(apply(rot, ref_ghz_state()), a, (0, 0, 0), ex.PHOTON_OUTCOMES)
 
 
 def ref_ghz(case):
@@ -320,7 +315,7 @@ def test_non_finite_angles_rejected(bad):
 
 
 def test_outcome_distribution_rejects_nan():
-    settings = _two(0.0, 0.0)
+    settings = (0.0, 0.0)
     with pytest.raises(ValueError):
         ex.OutcomeDistribution(settings, (math.nan,) * 4, ex.PHOTON_OUTCOMES)
 
