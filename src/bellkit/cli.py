@@ -483,7 +483,7 @@ def cmd_report(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc}") from exc
+            raise UsageError(f"cannot write {args.out!r}: {exc}") from exc
     else:
         print(text)
     return 0

@@ -27,6 +27,13 @@ enumerate_strategies, and the ones agreement_fraction and
 antiparallel_fraction score one at a time (_extremize).  At most
 MAX_STRATEGIES = 2**16 strategies are enumerated; larger spaces are refused
 before any array is allocated.
+
+The Monte-Carlo sampler reads the generator exactly as
+Generator.choice(strategies, trials, p=weights) and then
+Generator.integers(0, runs, trials) do, so each seed gives the same draws.  A
+strategy is read from its uniform through a guide table of at most
+min(strategies, trials) buckets, with a binary search only where a bucket
+holds a cdf step, and each run's draws are grouped by one stable radix sort.
 """
 
 from __future__ import annotations
@@ -480,6 +487,8 @@ def _checked_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"expected {n} weights, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("mixture weights must be finite")
     if np.any(w < 0):
         raise ValueError("mixture weights must be non-negative")
     total = float(w.sum())
@@ -517,22 +526,38 @@ def monte_carlo_mixture(
 ) -> MixtureEstimate:
     """Simulate runs of a weighted strategy mixture with uniformly random
     setting choices; exact enumeration stays the source of truth, this is the
-    finite-statistics view of it."""
+    finite-statistics view of it.
+
+    The generator is read once as random(trials), then once as
+    integers(0, runs, trials): the stream of Generator.choice(strategies,
+    trials, p=w) followed by that integers call.  _draw turns each uniform
+    into the strategy choice draws from it, so a seed gives the same
+    estimate as those two calls.  Each run's draws are one contiguous slice
+    of a stable sort by run, so they stay in draw order, and their mean and
+    standard error have the bits a boolean mask per run would give.
+    """
     if not 1 <= trials <= MAX_MC_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_MC_TRIALS}; got {trials}")
     products = _run_products(spec, _cards(spec))
     w = _checked_weights(weights, len(products))
+    runs = len(spec.runs)
 
     rng = np.random.default_rng(rng_seed)
-    strat = rng.choice(len(products), size=trials, p=w)
-    run_idx = rng.integers(0, len(spec.runs), size=trials)
-    values = products[strat, run_idx].astype(float)
+    strat = _draw(w, rng.random(trials))
+    run_idx = rng.integers(0, runs, size=trials)
+    # strat becomes the flat index into products in place: at 10^5 trials a
+    # fresh array of that size costs more in page faults than the arithmetic.
+    strat *= runs
+    strat += run_idx
+    values = products.take(strat)
 
-    counts, means, errors = [], [], []
-    for r in range(len(spec.runs)):
-        sel = values[run_idx == r]
-        n = int(sel.size)
-        counts.append(n)
+    # A stable sort on the smallest unsigned dtype is numpy's radix sort.
+    order = np.argsort(run_idx.astype(np.min_scalar_type(runs - 1)), kind="stable")
+    by_run = values[order]
+    counts = np.bincount(run_idx, minlength=runs).tolist()
+    means, errors = [], []
+    for start, n in zip(accumulate(counts, initial=0), counts):
+        sel = by_run[start : start + n].astype(float)
         if n == 0:
             means.append(math.nan)
             errors.append(math.nan)
@@ -543,3 +568,29 @@ def monte_carlo_mixture(
     return MixtureEstimate(
         spec.runs, tuple(counts), tuple(means), tuple(errors), tuple(float(x) for x in exact)
     )
+
+
+def _draw(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The strategy index of each uniform u in [0, 1): the number of cdf
+    values <= u, where cdf = w.cumsum() / its last entry, which is the index
+    Generator.choice(p=w) draws from u.
+
+    The count is read from a guide table (indexed search, Chen and Asau 1974)
+    of k buckets [b/k, (b+1)/k), k the largest power of two <= min(strategies,
+    draws), so u * k and the edges b/k are exact and the table is never larger
+    than the draws.  A bucket with no cdf value strictly between its edges
+    gives every u in it the same count, #(cdf <= b/k); only the draws in the
+    other buckets are counted by binary search.
+    """
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    k = 1 << (min(len(cdf), len(u)).bit_length() - 1)
+    edges = np.arange(k + 1) / k
+    first = cdf.searchsorted(edges[:-1], "right")
+    mixed = first != cdf.searchsorted(edges[1:], "left")
+    bucket = (u * k).astype(np.intp)
+    strat = first[bucket]
+    if mixed.any():
+        hit = np.flatnonzero(mixed[bucket])
+        strat[hit] = cdf.searchsorted(u[hit], "right")
+    return strat

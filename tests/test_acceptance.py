@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +20,10 @@ from bellkit.lhvt import PASS, STOP
 from bellkit.spin import EulerAngles
 
 SEED = 424242
+# A child interpreter sees only its environment, not pytest's pythonpath.
+SRC = Path(__file__).resolve().parents[1] / "src"
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
 
 
 def _ok(n: int, msg: str) -> None:
@@ -279,8 +285,8 @@ def test_criterion_11_stokes_poincare():
 
 def test_criterion_12_cli_report():
     cmd = [sys.executable, "-m", "bellkit.cli", "report", "--all", "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV)
     assert first.stdout == second.stdout
 
     sc = json.loads(first.stdout)["scenarios"]

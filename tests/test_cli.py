@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,9 @@ from bellkit import cli, experiments, lhvt, spin
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
+# A child interpreter sees only its environment, not pytest's pythonpath.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(*argv):
@@ -409,8 +413,8 @@ def test_report_json_values(capsys):
 
 def test_report_json_byte_identical_across_processes(tmp_path):
     cmd = [sys.executable, "-m", "bellkit.cli", "report", "--all", "--format", "json"]
-    a = subprocess.run(cmd, capture_output=True, check=True)
-    b = subprocess.run(cmd, capture_output=True, check=True)
+    a = subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV)
+    b = subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV)
     assert a.stdout == b.stdout
     assert a.stdout  # non-empty
 
@@ -438,7 +442,7 @@ def test_report_out_empty_path_is_not_stdout(capsys):
     assert run_cli("report", "--all", "--out", "") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "cannot write" in captured.err
+    assert "cannot write ''" in captured.err
 
 
 def test_report_numbers_come_from_the_library(monkeypatch, capsys):

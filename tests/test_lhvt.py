@@ -332,6 +332,20 @@ def test_weight_validation():
         lhvt.exact_mixture_correlations(spec, np.full(16, 1 / 8))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda spec, w: lhvt.exact_mixture_correlations(spec, w),
+    lambda spec, w: lhvt.exact_marginal_mean(spec, w, 0, 45.0),
+    lambda spec, w: lhvt.monte_carlo_mixture(spec, w, trials=100, rng_seed=1),
+], ids=["exact_mixture_correlations", "exact_marginal_mean", "monte_carlo_mixture"])
+def test_non_finite_weights_are_refused(entry, value):
+    # a NaN weight makes the sum NaN, which no tolerance comparison rejects
+    spec = lhvt.chsh_scenario(45.0, 90.0, 67.5, 22.5)
+    for w in (np.full(16, value), np.append(np.full(15, 1 / 15), value)):
+        with pytest.raises(ValueError, match="finite"):
+            entry(spec, w)
+
+
 def test_monte_carlo_is_deterministic_per_seed():
     spec = lhvt.chsh_scenario(45.0, 90.0, 67.5, 22.5)
     w = np.full(16, 1 / 16)

@@ -79,12 +79,14 @@ def reference_extremize(tables, scores, direction):
     return best, tuple(t for t, s in zip(tables, scores) if s == best)
 
 
-def reference_monte_carlo(spec, tables, w, trials, rng_seed) -> lhvt.MixtureEstimate:
-    products = reference_products(spec, tables)
+def reference_monte_carlo(spec, products, w, trials, rng_seed) -> lhvt.MixtureEstimate:
+    """Reference sampler: Generator.choice for the strategies and a boolean mask
+    per run; products is the (strategies, runs) matrix and w the normalized
+    weights."""
     rng = np.random.default_rng(rng_seed)
-    strat = rng.choice(len(tables), size=trials, p=w)
+    strat = rng.choice(len(products), size=trials, p=w)
     run_idx = rng.integers(0, len(spec.runs), size=trials)
-    values = products[strat, run_idx]
+    values = products[strat, run_idx].astype(float)
     counts, means, errors = [], [], []
     for r in range(len(spec.runs)):
         sel = values[run_idx == r]
@@ -174,7 +176,7 @@ def test_engine_matches_loop_enumerator(index):
     assert lhvt.exact_marginal_mean(spec, w, party, angle) == pytest.approx(marginal, abs=1e-12)
 
     trials, seed = r.choice((3, 50, 400)), r.randrange(2**31)
-    expected = reference_monte_carlo(spec, tables, normalized, trials, seed)
+    expected = reference_monte_carlo(spec, products, normalized, trials, seed)
     assert repr(lhvt.monte_carlo_mixture(spec, w, trials, seed)) == repr(expected)
 
 
@@ -186,6 +188,79 @@ def test_engine_run_outcomes_match_reference():
         assert len(answers) == len(tables)
         for t, row in zip(tables, answers):
             assert [list(reference_run_outcomes(spec, t, run)) for run in spec.runs] == row
+
+
+# --- the sampler against Generator.choice and per-run masks -------------------
+
+CHSH = lhvt.chsh_scenario(0.0, 45.0, 22.5, 67.5)
+_EIGHT = tuple(float(k) for k in range(8))
+# 2^16 strategies over 8 runs: at 10^3 trials the guide table has 2^9 buckets,
+# far fewer than the cdf's 2^16 values
+CEILING = lhvt.ScenarioSpec("ceiling", 2, (_EIGHT, _EIGHT), tuple(zip(_EIGHT, _EIGHT[::-1])))
+
+
+def dirichlet(n, seed, zeros=False):
+    w = np.random.default_rng(seed).dirichlet(np.ones(n))
+    if zeros:  # flat cdf steps, a leading and a trailing run of zero weights among them
+        w[:3] = w[-2:] = w[5::3] = 0.0
+    return w / w.sum()
+
+
+def point_mass(n, at):
+    w = np.zeros(n)
+    w[at] = 1.0
+    return w
+
+
+SAMPLER_CASES = {
+    "uniform-on-bucket-edges": (CHSH, np.full(16, 1 / 16), 1000),
+    "uniform-1e5": (CHSH, np.full(16, 1 / 16), 100_000),
+    "dirichlet": (CHSH, dirichlet(16, 1), 1000),
+    "dirichlet-1e5": (CHSH, dirichlet(16, 2), 100_000),
+    "zeros": (CHSH, dirichlet(16, 3, zeros=True), 5000),
+    "point-first": (CHSH, point_mass(16, 0), 300),
+    "point-middle": (CHSH, point_mass(16, 9), 300),
+    "point-last": (CHSH, point_mass(16, 15), 300),
+    "one-trial": (CHSH, dirichlet(16, 4), 1),
+    "two-trials": (CHSH, np.full(16, 1 / 16), 2),
+    "ceiling-2^16-1e3": (CEILING, dirichlet(2**16, 5), 1000),
+    "ceiling-2^16-zeros": (CEILING, dirichlet(2**16, 6, zeros=True), 1000),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLER_CASES)
+def test_sampler_matches_choice_and_masks(name):
+    spec, w, trials = SAMPLER_CASES[name]
+    products = lhvt._run_products(spec, lhvt._cards(spec))
+    for seed in (0, 3, SEED):
+        expected = reference_monte_carlo(spec, products, w / w.sum(), trials, seed)
+        got = lhvt.monte_carlo_mixture(spec, w, trials, seed)
+        assert repr(got) == repr(expected)
+    # a run with no draw has no mean, and one with fewer than two no error
+    assert [math.isnan(m) for m in got.means] == [n == 0 for n in got.counts]
+    assert [math.isnan(e) for e in got.std_errors] == [n < 2 for n in got.counts]
+
+
+@pytest.mark.parametrize("n, draws", [(16, 16), (16, 1000), (1000, 64), (1000, 4096), (2**16, 1000)])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_draw_counts_cdf_values_at_or_below_each_uniform(n, draws, zeros):
+    # 16 strategies without zeros are uniform: every cdf value is a bucket edge
+    w = dirichlet(n, n + draws, zeros) if n > 16 or zeros else np.full(n, 1 / n)
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    k = 1 << (min(n, draws).bit_length() - 1)
+    # every bucket edge, every cdf value below 1 and its neighbours, then random
+    # uniforms, cut to `draws` values so the table has k buckets
+    edges = np.arange(k) / k
+    on_cdf = cdf[cdf < 1]
+    near = np.concatenate([np.nextafter(on_cdf, 0), np.nextafter(on_cdf, 1)])
+    rng = np.random.default_rng(n * draws)
+    u = np.concatenate([edges, on_cdf, near[near < 1], rng.random(draws)])[:draws]
+    assert len(u) == draws
+    expected = cdf.searchsorted(u, side="right")
+    strat = lhvt._draw(w, u)
+    assert np.array_equal(strat, expected)
+    assert np.all(w[strat] > 0)  # a zero-weight strategy is never drawn
 
 
 # --- the array scorer against per-table scoring --------------------------------
