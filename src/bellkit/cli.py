@@ -482,7 +482,7 @@ def cmd_report(args) -> int:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
             raise UsageError(f"cannot write {args.out!r}: {exc}") from exc
     else:
         print(text)
@@ -556,7 +556,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"bellkit: error: {exc}", file=sys.stderr)
         return 1
-    except (InternalCheckError, ValueError, RuntimeError) as exc:
+    except (InternalCheckError, RuntimeError) as exc:
         print(f"bellkit: internal check failed: {exc}", file=sys.stderr)
         return 2
 

@@ -256,13 +256,9 @@ def entangled_pair_distribution(theta1: float, theta2: float) -> OutcomeDistribu
     return _distribution(row, (theta1, theta2), PHOTON_OUTCOMES)
 
 
-def pair_correlation(theta1: float, theta2: float) -> float:
-    """Expected product of the two +/-1 photon outcomes."""
-    return entangled_pair_distribution(theta1, theta2).correlation()
-
-
 def pair_correlations(theta1s, theta2s) -> list[float]:
-    """pair_correlation for each (theta1s[k], theta2s[k]), in one batch."""
+    """Expected product of the two +/-1 photon outcomes for each
+    (theta1s[k], theta2s[k]), in one batch."""
     theta1s, theta2s = list(theta1s), list(theta2s)
     if len(theta1s) != len(theta2s):
         raise ValueError(f"{len(theta1s)} party-1 angles for {len(theta2s)} party-2 angles")

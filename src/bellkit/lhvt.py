@@ -52,8 +52,10 @@ PASS, STOP = 1, -1
 
 # Hard ceiling on exhaustive enumeration, checked before anything is allocated.
 # Two parties with eight settings each (2^16 strategies), scored by agreement
-# over all 64 runs, take about 2.4 s of CPU time to enumerate, extremize, mix
-# and sample (2-CPU Intel Xeon, Python 3.11, numpy 2.4); 2^18 takes about 10 s.
+# over all 64 runs, take about 15 ms of CPU time for the array bound the CLI
+# uses (_pair_bound), 136 ms to build every strategy tuple
+# (enumerate_strategies) and 2.4 s to score them one at a time (_extremize),
+# best of several runs (2-CPU Intel Xeon, Python 3.11, numpy 2.4).
 MAX_STRATEGIES = 2**16
 
 # Hard ceiling on Monte-Carlo trials: the sampler holds a few arrays of this
@@ -140,37 +142,30 @@ class ClassicalBound:
             raise ValueError(f"direction must be 'max' or 'min'; got {self.direction!r}")
 
 
-def _flip_plan(angles: tuple[float, ...]):
-    """Map each angle to (free slot, sign) under the 90-degree flip rule."""
-    plan, reps = [], {}
-    for angle in angles:
-        rep = angle % 90.0
-        if rep in reps:
-            base_angle, slot = reps[rep]
-            steps = round((angle - base_angle) / 90.0)
-            plan.append((slot, -1 if steps % 2 else 1))
-        else:
-            slot = len(reps)
-            reps[rep] = (angle, slot)
-            plan.append((slot, 1))
-    return plan, len(reps)
-
-
 def _card_columns(spec: ScenarioSpec) -> tuple[list[int], list[int], int]:
     """For every (party, setting) column, the free outcome slot it copies and
-    the sign it copies it with; plus the number of free slots."""
+    the sign it copies it with; plus the number of free slots.
+
+    An angle's key is angle % 90 under the flip rule, and otherwise the angle
+    itself.  Each angle copies the slot of its party's first angle with the same
+    key, negated for an odd number of quarter turns between them; a new key
+    opens the next free slot.  Parties 2... of an identical or opposite scenario
+    copy party 1's columns, negated for opposite.
+    """
     shared = spec.identical or spec.opposite
     slots, signs, free = [], [], 0
     for p, angles in enumerate(spec.settings):
-        if spec.flip_90:
-            plan, nfree = _flip_plan(angles)
-        else:
-            plan, nfree = [(k, 1) for k in range(len(angles))], len(angles)
-        base = 0 if shared else free
-        flip = -1 if (spec.opposite and p > 0) else 1
-        slots += [base + slot for slot, _ in plan]
-        signs += [flip * sign for _, sign in plan]
-        free = nfree if shared else free + nfree
+        if shared and p > 0:
+            slots += slots[: len(angles)]
+            signs += [-s if spec.opposite else s for s in signs[: len(angles)]]
+            continue
+        firsts = {}
+        for angle in angles:
+            key = angle % 90.0 if spec.flip_90 else angle
+            turns = round((angle - firsts[key][0]) / 90.0) if key in firsts else 0
+            slots.append(firsts.setdefault(key, (angle, free + len(firsts)))[1])
+            signs.append(-1 if turns % 2 else 1)
+        free += len(firsts)
     return slots, signs, free
 
 

@@ -33,15 +33,6 @@ class PhotonState:
         if abs(norm - 1.0) > TOL_NORM:
             raise ValueError(f"photon state not normalized: alpha_x^2+alpha_y^2 = {norm!r}")
 
-    @classmethod
-    def from_amplitudes(cls, cx: complex, cy: complex) -> "PhotonState":
-        """Canonicalize complex linear amplitudes (phase 0 on a vanishing component)."""
-        cx, cy = complex(cx), complex(cy)
-        return cls(
-            abs(cx), cmath.phase(cx) if cx != 0 else 0.0,
-            abs(cy), cmath.phase(cy) if cy != 0 else 0.0,
-        )
-
     @property
     def cx(self) -> complex:
         return self.alpha_x * cmath.exp(1j * self.phi_x)
@@ -66,9 +57,6 @@ class StokesVector:
         r2 = self.s1**2 + self.s2**2 + self.s3**2
         if abs(r2 - self.s0**2) > TOL_NORM:
             raise ValueError(f"not on the Poincare sphere: s1^2+s2^2+s3^2 = {r2!r}")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.s0, self.s1, self.s2, self.s3)
 
 
 @dataclass(frozen=True)
@@ -141,9 +129,9 @@ def stokes_to_ellipse(s: StokesVector) -> PolarizationEllipse:
     if abs(s.s3) >= 1.0 - POLE_TOL:
         return PolarizationEllipse(0.0, math.copysign(math.pi / 4, s.s3))
     rho = 0.5 * math.atan2(s.s2, s.s1)
-    if rho < 0.0:
+    if rho <= 0.0:  # -0.0 too, so that a zero orientation comes out as +0.0
         rho += math.pi
-    if rho == math.pi:  # a tiny negative orientation rounds up to pi, which is 0
+    if rho == math.pi:  # a zero or tiny negative orientation rounds up to pi, which is 0
         rho = 0.0
     eta = 0.5 * math.asin(max(-1.0, min(1.0, s.s3)))
     return PolarizationEllipse(rho, eta)
@@ -167,15 +155,6 @@ def to_circular(p: PhotonState) -> CircularDecomposition:
     return CircularDecomposition((p.cx - 1j * p.cy) / rt2, (p.cx + 1j * p.cy) / rt2)
 
 
-def from_circular(c: CircularDecomposition) -> PhotonState:
-    """Back to the linear basis: cx = (bR + bL)/sqrt2, cy = i (bR - bL)/sqrt2."""
-    rt2 = math.sqrt(2.0)
-    return PhotonState.from_amplitudes(
-        (c.beta_rcp + c.beta_lcp) / rt2,
-        1j * (c.beta_rcp - c.beta_lcp) / rt2,
-    )
-
-
 def stokes_from_circular(c: CircularDecomposition) -> StokesVector:
     """s1 + i s2 = 2 beta_lcp conj(beta_rcp); s3 = |beta_rcp|^2 - |beta_lcp|^2."""
     cross = 2.0 * c.beta_lcp * c.beta_rcp.conjugate()
@@ -192,16 +171,3 @@ def bloch_coords(c: CircularDecomposition) -> BlochCoords:
     theta0 = 2.0 * math.atan2(abs(c.beta_lcp), abs(c.beta_rcp))
     phi0 = cmath.phase(c.beta_lcp) - cmath.phase(c.beta_rcp)
     return BlochCoords(theta0, phi0)
-
-
-def rotate_photon_frame(c: CircularDecomposition, chi: float) -> CircularDecomposition:
-    """Rotate the transverse frame through chi about the propagation axis.
-
-    On the circular basis this is diagonal: beta_rcp picks up e^{i chi} and
-    beta_lcp picks up e^{-i chi}.  (On the linear basis the same rotation mixes
-    components, which is why it is applied here.)
-    """
-    return CircularDecomposition(
-        c.beta_rcp * cmath.exp(1j * chi),
-        c.beta_lcp * cmath.exp(-1j * chi),
-    )

@@ -118,24 +118,12 @@ def euler_rotation_su2(e: EulerAngles) -> MatrixOperator:
     ])
 
 
-def euler_product_form(e: EulerAngles) -> MatrixOperator:
-    """The same rotation as exp[i(theta/2) sigma.(-sin phi, cos phi, 0)] exp[i(chi/2) sigma_z]."""
-    tilt = unitary_axis_angle((-math.sin(e.phi), math.cos(e.phi), 0.0), e.theta)
-    spin = unitary_axis_angle((0.0, 0.0, 1.0), e.chi)
-    return MatrixOperator(tilt.entries @ spin.entries)
-
-
 def bloch_ket(b: BlochCoords) -> StateVector:
     """cos(theta0/2)|up> + sin(theta0/2) e^{i phi0} |down>."""
     return StateVector(
         [math.cos(b.theta0 / 2), math.sin(b.theta0 / 2) * cmath.exp(1j * b.phi0)],
         SPIN_HALF_LABELS,
     )
-
-
-def apply_euler_to_bloch(e: EulerAngles, b: BlochCoords) -> StateVector:
-    ket = bloch_ket(b)
-    return StateVector(euler_rotation_su2(e).entries @ ket.amps, SPIN_HALF_LABELS)
 
 
 def spin_half_operator(axis: str) -> MatrixOperator:

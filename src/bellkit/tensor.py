@@ -16,9 +16,6 @@ TOL_UNITARY = 1e-12
 
 ALLOWED_DIMS = (2, 3, 4, 6, 8)
 
-# Equality of states "up to global phase" uses |<a|b>| >= 1 - PHASE_SLACK.
-PHASE_SLACK = 10 * TOL_NORM
-
 
 def _frozen_array(values, shape_kind: str) -> np.ndarray:
     arr = np.array(values, dtype=complex)
@@ -147,17 +144,3 @@ def unitarity_deviation(op: MatrixOperator) -> float:
     return float(
         np.maximum(np.max(np.abs(u @ u.conj().T - eye)), np.max(np.abs(u.conj().T @ u - eye)))
     )
-
-
-def is_unitary(op: MatrixOperator, tol: float = TOL_UNITARY) -> bool:
-    """True when both U U+ and U+ U are within tol (max-abs entry) of identity."""
-    return unitarity_deviation(op) <= tol
-
-
-def is_hermitian(op: MatrixOperator, tol: float = TOL_UNITARY) -> bool:
-    return float(np.max(np.abs(op.entries - op.entries.conj().T))) <= tol
-
-
-def same_up_to_phase(a: StateVector, b: StateVector, slack: float = PHASE_SLACK) -> bool:
-    """Phase-insensitive state equality: |<a|b>| >= 1 - slack."""
-    return abs(inner(a, b)) >= 1.0 - slack

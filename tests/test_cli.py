@@ -46,7 +46,7 @@ def test_pair_sweep_matches_library(capsys):
     assert len(lines) == 182
     for line in lines[1:]:
         d, val = line.split(",")
-        expected = experiments.pair_correlation(math.radians(int(d)), 0.0)
+        expected = experiments.entangled_pair_distribution(math.radians(int(d)), 0.0).correlation()
         assert float(val) == expected  # repr round-trips exactly
 
 
@@ -151,6 +151,12 @@ def test_poincare_tiny_negative_orientation_exits_0(capsys):
     out = capsys.readouterr().out
     assert "2rho=0.000000deg" in out
     assert "phi0=0.000000deg" in out
+
+
+def test_poincare_zero_orientation_prints_plus_zero(capsys):
+    # phi_y = 180 makes s2 = -0.0, which atan2 turns into a -0.0 orientation
+    assert run_cli("poincare", "--alpha-x", "1", "--alpha-y", "0", "--phi-y", "180") == 0
+    assert "ellipse     2rho=0.000000deg  2eta=0.000000deg\n" in capsys.readouterr().out
 
 
 def test_lhvt_grid30(capsys):
@@ -445,6 +451,25 @@ def test_report_out_empty_path_is_not_stdout(capsys):
     assert "cannot write ''" in captured.err
 
 
+def test_report_out_path_open_refuses_exits_1(capsys):
+    # open() raises ValueError, not OSError, for a path with a null byte
+    assert run_cli("report", "--all", "--out", "a\0b") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bellkit: error: cannot write 'a\\x00b': ")
+
+
+def test_value_error_is_not_an_exit_code(monkeypatch):
+    # exit 2 means a failed internal check; a ValueError that escapes a command
+    # is a bug and propagates
+    def broken():
+        raise ValueError("unchecked input")
+
+    monkeypatch.setitem(cli.SCENARIOS, "grid30", broken)
+    with pytest.raises(ValueError, match="unchecked input"):
+        cli.main(["lhvt", "--scenario", "grid30"])
+
+
 def test_report_numbers_come_from_the_library(monkeypatch, capsys):
     # monkeypatching the pair distribution must change the report, proving the
     # report recomputes rather than echoing stored constants
@@ -609,7 +634,8 @@ def _sized(number, sizes):
 def _options(number, alpha=ALPHA, angles=(4, 4), euler=(3, 3), state=(4, 6), junk=()):
     """Every command's options, each with a strategy for the values after the
     flag; angles, euler and state bound those options' value counts, and junk
-    joins every list of choices.  Never --out, so nothing is written."""
+    joins every list of choices.  --out only names paths that open() refuses,
+    so nothing is written."""
     return {
         "pair": {"--theta1": _values(1, number), "--theta2": _values(1, number),
                  "--sweep": _values(0, number)},
@@ -630,7 +656,8 @@ def _options(number, alpha=ALPHA, angles=(4, 4), euler=(3, 3), state=(4, 6), jun
             "--check": _values(0, number),
         },
         "report": {"--all": _values(0, number),
-                   "--format": _values(1, st.sampled_from(["table", "json", *junk]))},
+                   "--format": _values(1, st.sampled_from(["table", "json", *junk])),
+                   "--out": _values(1, st.sampled_from(["", "a\0b"]))},
     }
 
 

@@ -38,7 +38,7 @@ def test_pair_agreement_landmarks():
     assert abs(ex.entangled_pair_distribution(0.0, 0.0).agreement() - 1.0) < ABS_TOL
     assert abs(ex.entangled_pair_distribution(30 * DEG, 0.0).agreement() - 0.75) < ABS_TOL
     assert abs(ex.entangled_pair_distribution(0.0, 120 * DEG).agreement() - 0.25) < ABS_TOL
-    assert abs(ex.pair_correlation(0.0, 45 * DEG)) < ABS_TOL
+    assert abs(ex.entangled_pair_distribution(0.0, 45 * DEG).correlation()) < ABS_TOL
 
 
 def test_pair_depends_only_on_difference():

@@ -20,15 +20,30 @@ SEED = 20261018
 # --- reference: the loop enumerator ------------------------------------------
 
 
+def reference_plan(angles, flip_90: bool) -> tuple[list[tuple[int, int]], int]:
+    """(free slot, sign) for each angle, and the number of free slots.  Under
+    the flip rule an angle answers as the earliest listed angle a whole number
+    of quarter turns away, negated when that number is odd; any other angle
+    takes the next free slot."""
+    plan, free = [], 0
+    for k, angle in enumerate(angles):
+        turns = [(angle - a) / 90.0 for a in angles[:k]]
+        partner = next((j for j, t in enumerate(turns) if flip_90 and t == int(t)), None)
+        if partner is None:
+            plan.append((free, 1))
+            free += 1
+        else:
+            slot, sign = plan[partner]
+            plan.append((slot, -sign if int(turns[partner]) % 2 else sign))
+    return plan, free
+
+
 def reference_strategies(spec: lhvt.ScenarioSpec) -> list[lhvt.Strategy]:
     """All strategies by itertools.product over the free outcomes, in the
     documented order (party-major, setting-minor, +1 before -1)."""
     plans, free_counts = [], []
-    for p in range(spec.parties):
-        if spec.flip_90:
-            plan, nfree = lhvt._flip_plan(spec.settings[p])
-        else:
-            plan, nfree = [(k, 1) for k in range(len(spec.settings[p]))], len(spec.settings[p])
+    for angles in spec.settings:
+        plan, nfree = reference_plan(angles, spec.flip_90)
         plans.append(plan)
         free_counts.append(nfree)
 
@@ -140,6 +155,10 @@ def test_random_specs_cover_every_constraint():
     assert {s.parties for s in SPECS} == {1, 2, 3}
     assert any(s.flip_90 for s in SPECS)
     assert any(s.identical for s in SPECS) and any(s.opposite for s in SPECS)
+    # two parties: independent, identical or opposite cards, each with and without flips
+    pairs = {(s.identical, s.opposite, s.flip_90) for s in SPECS if s.parties == 2}
+    shared = ((False, False), (True, False), (False, True))
+    assert pairs == {(i, o, f) for i, o in shared for f in (False, True)}
     assert {len(a) for s in SPECS for a in s.settings} == {2, 3, 4, 5, 6}
 
 

@@ -29,6 +29,14 @@ def photon_states(draw):
     return pol.PhotonState(math.sqrt(split), phix, math.sqrt(1.0 - split), phiy)
 
 
+def turned(p: pol.PhotonState, chi: float) -> pol.PhotonState:
+    """The same light seen from a frame turned through chi about the
+    propagation axis: the linear amplitudes turn through chi."""
+    cx = p.cx * math.cos(chi) + p.cy * math.sin(chi)
+    cy = -p.cx * math.sin(chi) + p.cy * math.cos(chi)
+    return pol.PhotonState(abs(cx), cmath.phase(cx), abs(cy), cmath.phase(cy))
+
+
 def test_canonical_points_on_poincare_sphere():
     expected = {
         X: (1, 0, 0),
@@ -110,12 +118,12 @@ def test_circular_decomposition_of_basis_states():
 @given(photon_states())
 def test_circular_round_trip_and_stokes_equivalence(p):
     c = pol.to_circular(p)
-    back = pol.from_circular(c)
-    assert abs(back.cx - p.cx) < 1e-9 and abs(back.cy - p.cy) < 1e-9
+    expected = RT2 * np.array([[1, -1j], [1, 1j]]) @ [p.cx, p.cy]
+    assert np.allclose([c.beta_rcp, c.beta_lcp], expected, rtol=0, atol=ABS_TOL)
     s_lin = pol.stokes_from_state(p)
     s_circ = pol.stokes_from_circular(c)
-    for a, b in zip(s_lin.as_tuple(), s_circ.as_tuple()):
-        assert abs(a - b) < ABS_TOL
+    for name in ("s0", "s1", "s2", "s3"):
+        assert abs(getattr(s_lin, name) - getattr(s_circ, name)) < ABS_TOL
 
 
 def test_stokes_from_circular_example():
@@ -143,6 +151,9 @@ def test_tiny_negative_orientation_wraps_to_zero():
     assert pol.stokes_to_ellipse(pol.StokesVector(1.0, 1.0, -1e-17, 0.0)).rho == 0.0
     rho = pol.stokes_to_ellipse(pol.StokesVector(1.0, 0.0, -1.0, 0.0)).rho
     assert rho == -math.pi / 4 + math.pi
+    # s2 = -0.0 makes atan2 return -0.0; a zero orientation still reads +0.0
+    rho = pol.stokes_to_ellipse(pol.StokesVector(1.0, 1.0, -0.0, 0.0)).rho
+    assert rho == 0.0 and math.copysign(1.0, rho) == 1.0
 
 
 def test_tiny_negative_azimuth_wraps_to_zero():
@@ -154,23 +165,31 @@ def test_tiny_negative_azimuth_wraps_to_zero():
 
 
 def test_frame_rotation_quarter_turn_moves_x_to_y():
-    c = pol.rotate_photon_frame(pol.to_circular(X), math.pi / 2)
+    y = turned(X, math.pi / 2)
+    assert abs(y.alpha_x) < ABS_TOL
+    assert abs(y.alpha_y - 1.0) < ABS_TOL
+    # on the circular basis the turn is diagonal: e^{i chi} on RCP, e^{-i chi} on LCP
+    c = pol.to_circular(y)
     assert abs(c.beta_rcp - 1j * RT2) < ABS_TOL
     assert abs(c.beta_lcp + 1j * RT2) < ABS_TOL
-    back = pol.from_circular(c)
-    assert abs(back.alpha_x) < ABS_TOL
-    assert abs(back.alpha_y - 1.0) < ABS_TOL
 
 
 @settings(deadline=None)
-@given(photon_states(), st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))
-def test_frame_rotation_preserves_s3_and_latitude(p, chi):
-    before = pol.stokes_from_circular(pol.to_circular(p))
-    after = pol.stokes_from_circular(pol.rotate_photon_frame(pol.to_circular(p), chi))
+@given(photon_states(), st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False),
+       st.floats(-math.pi, math.pi, allow_nan=False))
+def test_frame_rotation_preserves_s3_and_latitude(p, chi, theta):
+    q = turned(p, chi)
+    c, d = pol.to_circular(p), pol.to_circular(q)
+    assert abs(d.beta_rcp - c.beta_rcp * cmath.exp(1j * chi)) < 1e-9
+    assert abs(d.beta_lcp - c.beta_lcp * cmath.exp(-1j * chi)) < 1e-9
+    # an analyzer at theta in the turned frame sits at theta + chi in the original
+    through_turned = pol.analyzer_transmission(q, theta)
+    assert abs(through_turned - pol.analyzer_transmission(p, theta + chi)) < 1e-9
+    # s3 stays; (s1, s2) turn through 2 chi, clockwise as the frame turns anticlockwise
+    before, after = pol.stokes_from_state(p), pol.stokes_from_state(q)
     assert abs(before.s3 - after.s3) < 1e-9
-    r_before = math.hypot(before.s1, before.s2)
-    r_after = math.hypot(after.s1, after.s2)
-    assert abs(r_before - r_after) < 1e-9
+    turn = cmath.exp(-2j * chi) * complex(before.s1, before.s2)
+    assert abs(complex(after.s1, after.s2) - turn) < 1e-9
 
 
 def test_photon_state_guards():
@@ -180,9 +199,8 @@ def test_photon_state_guards():
         pol.PhotonState(-1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         pol.StokesVector(1.0, 1.0, 1.0, 0.0)
-    p = pol.PhotonState.from_amplitudes(-0.6, 0.8j)
-    assert p.alpha_x == 0.6 and abs(p.phi_x - math.pi) < ABS_TOL
-    assert p.alpha_y == 0.8 and abs(p.phi_y - math.pi / 2) < ABS_TOL
+    p = pol.PhotonState(0.6, math.pi, 0.8, math.pi / 2)
+    assert abs(p.cx + 0.6) < ABS_TOL and abs(p.cy - 0.8j) < ABS_TOL
 
 
 @pytest.mark.parametrize("build, message", [

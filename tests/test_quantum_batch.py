@@ -202,7 +202,7 @@ def test_pair_correlations_bit_equal_to_scalar_path():
     theta2s = [b for _, b in PAIRS]
     batch = ex.pair_correlations(theta1s, theta2s)
     assert batch == [ref_pair(a, b).correlation() for a, b in PAIRS]
-    assert batch == [ex.pair_correlation(a, b) for a, b in PAIRS]
+    assert batch == [ex.entangled_pair_distribution(a, b).correlation() for a, b in PAIRS]
     assert ex.pair_correlations([], []) == []
 
 
@@ -300,7 +300,7 @@ def test_readout_builds_no_tensor_objects(monkeypatch):
 def test_non_finite_angles_rejected(bad):
     calls = [
         lambda: ex.entangled_pair_distribution(bad, 0.0),
-        lambda: ex.pair_correlation(0.0, bad),
+        lambda: ex.entangled_pair_distribution(0.0, bad),
         lambda: ex.pair_correlations([0.0, bad], [0.0, 0.0]),
         lambda: ex.electron_singlet_distribution(0.0, bad),
         lambda: ex.electron_correlation(bad, 0.0),
