@@ -3,8 +3,9 @@
 Angles cross this boundary in degrees and are converted to radians before any
 library call.  Tables round to six decimals; JSON keeps full float precision
 and serializes deterministically (sorted keys), so identical invocations are
-byte-identical.  Exit codes: 0 success, 1 usage/input error, 2 internal check
-failure.  BELLKIT_SEED overrides the Monte-Carlo seed when --seed is absent.
+byte-identical.  Exit codes: 0 success, 1 usage/input error or a closed
+stdout, 2 internal check failure.  BELLKIT_SEED overrides the Monte-Carlo seed
+when --seed is absent.
 The argument parser is built by the first main() call and reused by later
 calls in the same process; BELLKIT_SEED is still read on every call.
 
@@ -74,12 +75,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+def _fmt(x: float, sign: str = "") -> str:
+    """x to six decimals; a value that rounds to zero prints with no minus."""
+    text = f"{x:{sign}.6f}"
+    return sign + "0.000000" if text == "-0.000000" else text
 
 
 def _fmt_complex(z: complex) -> str:
-    return f"{z.real:+.6f}{z.imag:+.6f}i"
+    return f"{_fmt(z.real, '+')}{_fmt(z.imag, '+')}i"
 
 
 def _fmt_matrix(entries) -> str:
@@ -550,9 +553,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # `bellkit ... | head -1`: the exit flush must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"bellkit: error: {exc}", file=sys.stderr)
         return 1

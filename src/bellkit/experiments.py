@@ -48,7 +48,7 @@ from . import spin, tensor
 from .tensor import StateVector, kron, normalized
 
 PHOTON_OUTCOMES = ("pass", "stop")
-ELECTRON_OUTCOMES = ("↑", "↓")
+ELECTRON_OUTCOMES = spin.SPIN_HALF_LABELS
 
 # Joint analyzer settings at which each named scenario is quoted (radians).
 HARDY_CASES = {
@@ -227,12 +227,9 @@ def ghz_state() -> StateVector:
     return normalized(amps, triple(bx, bx, bx).labels)
 
 
-@functools.cache
 def electron_singlet_state() -> StateVector:
-    """(|ud> - |du>)/sqrt2 for two spin-1/2 particles."""
-    up = tensor.basis_state(spin.SPIN_HALF_LABELS, 0)
-    dn = tensor.basis_state(spin.SPIN_HALF_LABELS, 1)
-    return normalized(kron(up, dn).amps - kron(dn, up).amps, kron(up, dn).labels)
+    """(|ud> - |du>)/sqrt2 for two spin-1/2 particles: spin's singlet."""
+    return spin.singlet_triplet_basis()[0]
 
 
 # --- photon pair ----------------------------------------------------------------

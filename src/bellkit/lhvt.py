@@ -31,9 +31,9 @@ before any array is allocated.
 The Monte-Carlo sampler reads the generator exactly as
 Generator.choice(strategies, trials, p=weights) and then
 Generator.integers(0, runs, trials) do, so each seed gives the same draws.  A
-strategy is read from its uniform through a guide table of at most
-min(strategies, trials) buckets, with a binary search only where a bucket
-holds a cdf step, and each run's draws are grouped by one stable radix sort.
+strategy is read from its uniform as floor(u * strategies) when the weights
+are uniform, and by binary search otherwise; each run's draws are grouped by
+one stable radix sort.
 """
 
 from __future__ import annotations
@@ -526,7 +526,8 @@ def monte_carlo_mixture(
     The generator is read once as random(trials), then once as
     integers(0, runs, trials): the stream of Generator.choice(strategies,
     trials, p=w) followed by that integers call.  _draw turns each uniform
-    into the strategy choice draws from it, so a seed gives the same
+    into the strategy choice draws from it, as floor(u * strategies) for a
+    uniform mixture and by binary search otherwise, so a seed gives the same
     estimate as those two calls.  Each run's draws are one contiguous slice
     of a stable sort by run, so they stay in draw order, and their mean and
     standard error have the bits a boolean mask per run would give.
@@ -570,22 +571,13 @@ def _draw(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     values <= u, where cdf = w.cumsum() / its last entry, which is the index
     Generator.choice(p=w) draws from u.
 
-    The count is read from a guide table (indexed search, Chen and Asau 1974)
-    of k buckets [b/k, (b+1)/k), k the largest power of two <= min(strategies,
-    draws), so u * k and the edges b/k are exact and the table is never larger
-    than the draws.  A bucket with no cdf value strictly between its edges
-    gives every u in it the same count, #(cdf <= b/k); only the draws in the
-    other buckets are counted by binary search.
+    Every strategy count n is a power of two, so weights that all equal 1/n
+    have the exact cdf k/n and the count is floor(u * n); any other weights
+    are binary-searched.
     """
+    n = len(w)
+    if (w == 1.0 / n).all():
+        return (u * n).astype(np.intp)
     cdf = w.cumsum()
     cdf /= cdf[-1]
-    k = 1 << (min(len(cdf), len(u)).bit_length() - 1)
-    edges = np.arange(k + 1) / k
-    first = cdf.searchsorted(edges[:-1], "right")
-    mixed = first != cdf.searchsorted(edges[1:], "left")
-    bucket = (u * k).astype(np.intp)
-    strat = first[bucket]
-    if mixed.any():
-        hit = np.flatnonzero(mixed[bucket])
-        strat[hit] = cdf.searchsorted(u[hit], "right")
-    return strat
+    return cdf.searchsorted(u, "right")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,10 @@ GOLDEN = ROOT / "tests" / "golden"
 # A child interpreter sees only its environment, not pytest's pythonpath.
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+
+
+# six decimals of a negative zero, which the CLI never prints
+NEGATIVE_ZERO = re.compile(r"-0\.000000(?!\d)")
 
 
 def run_cli(*argv):
@@ -157,6 +162,20 @@ def test_poincare_zero_orientation_prints_plus_zero(capsys):
     # phi_y = 180 makes s2 = -0.0, which atan2 turns into a -0.0 orientation
     assert run_cli("poincare", "--alpha-x", "1", "--alpha-y", "0", "--phi-y", "180") == 0
     assert "ellipse     2rho=0.000000deg  2eta=0.000000deg\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ("poincare", "--alpha-x", "1", "--alpha-y", "0", "--phi-y", "-90"),
+    ("poincare", "--alpha-x", "1", "--alpha-y", "0", "--phi-y", "180"),
+    ("poincare", "--alpha-x", "0", "--alpha-y", "1", "--phi-x", "180"),
+    ("rotate", "--spin", "half", "--euler", "180", "90", "0"),
+    ("lhvt", "--scenario", "chsh", "--angles", "0", "360", "45", "90"),
+    ("lhvt", "--scenario", "chsh", "--angles", "1e308", "-1e308", "45", "90"),
+], ids=" ".join)
+def test_rounded_negative_zero_prints_unsigned(argv, capsys):
+    # each of these rounds a -0.0 or a tiny negative value to zero somewhere
+    assert run_cli(*argv) == 0
+    assert not NEGATIVE_ZERO.search(capsys.readouterr().out)
 
 
 def test_lhvt_grid30(capsys):
@@ -415,6 +434,27 @@ def test_report_json_values(capsys):
     assert sc["electron"]["classical"]["bound_exact"] == "1/3"
     assert sc["chsh"]["quantum"]["combination"] == pytest.approx(2 * math.sqrt(2), abs=1e-12)
     assert all(sc[name]["verdict"] == "violation" for name in sc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair"],
+    ["pair", "--sweep"],
+    ["report", "--all"],
+    ["lhvt", "--scenario", "ghz"],
+    ["rotate", "--spin", "half", "--euler", "0", "0", "0"],
+], ids=" ".join)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # `bellkit ... | head -1` without the race: the pipe's read end is closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bellkit.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_report_json_byte_identical_across_processes(tmp_path):
@@ -689,6 +729,7 @@ def argvs(draw):
 @example(["poincare", "--alpha-x", "1", "--alpha-y", "1e-16", "--phi-y", "180"])
 @example(["rotate", "--spin", "one", "--euler", "90", "1", "1e9", "--check"])
 @example(["lhvt", "--scenario", "chsh", "--mc-trials", "1000001"])
+@example(["lhvt", "--scenario", "chsh", "--angles", "1e308", "-1e308", "45", "90"])
 @given(argvs())
 def test_any_argv_exits_0_or_1_with_no_stdout_on_error(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -700,3 +741,5 @@ def test_any_argv_exits_0_or_1_with_no_stdout_on_error(argv):
     assert code in (0, 1), (argv, code, err.getvalue())
     if code == 1:
         assert out.getvalue() == "", argv
+    else:
+        assert not NEGATIVE_ZERO.search(out.getvalue()), argv

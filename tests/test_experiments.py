@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bellkit import experiments as ex
-from bellkit import tensor
+from bellkit import spin, tensor
 
 ABS_TOL = 1e-12
 DEG = math.pi / 180
@@ -120,6 +120,12 @@ def test_ghz_mixed_cases_odd(case):
 def test_ghz_case_validation():
     with pytest.raises(ValueError):
         ex.ghz_parity_distribution("E")
+
+
+def test_electron_singlet_is_spin_singlet():
+    # one definition of the singlet and of its spin-1/2 outcome labels
+    assert ex.electron_singlet_state() is spin.singlet_triplet_basis()[0]
+    assert ex.ELECTRON_OUTCOMES is spin.SPIN_HALF_LABELS
 
 
 def test_electron_singlet_closed_forms():

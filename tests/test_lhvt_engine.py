@@ -213,8 +213,7 @@ def test_engine_run_outcomes_match_reference():
 
 CHSH = lhvt.chsh_scenario(0.0, 45.0, 22.5, 67.5)
 _EIGHT = tuple(float(k) for k in range(8))
-# 2^16 strategies over 8 runs: at 10^3 trials the guide table has 2^9 buckets,
-# far fewer than the cdf's 2^16 values
+# 2^16 strategies over 8 runs: at 10^3 trials far fewer draws than cdf values
 CEILING = lhvt.ScenarioSpec("ceiling", 2, (_EIGHT, _EIGHT), tuple(zip(_EIGHT, _EIGHT[::-1])))
 
 
@@ -260,16 +259,36 @@ def test_sampler_matches_choice_and_masks(name):
     assert [math.isnan(e) for e in got.std_errors] == [n < 2 for n in got.counts]
 
 
-@pytest.mark.parametrize("n, draws", [(16, 16), (16, 1000), (1000, 64), (1000, 4096), (2**16, 1000)])
-@pytest.mark.parametrize("zeros", [False, True])
-def test_draw_counts_cdf_values_at_or_below_each_uniform(n, draws, zeros):
-    # 16 strategies without zeros are uniform: every cdf value is a bucket edge
-    w = dirichlet(n, n + draws, zeros) if n > 16 or zeros else np.full(n, 1 / n)
+# sums to 1 within _checked_weights' tolerance
+NON_DYADIC = np.full(64, 0.015625000000521465)
+# (weights, draws); the first ten are named zeros-strategies-draws
+DRAW_CASES = {
+    f"{zeros}-{n}-{draws}": (
+        dirichlet(n, n + draws, zeros) if n > 16 or zeros else np.full(n, 1 / n),
+        draws,
+    )
+    for zeros in (False, True)
+    for n, draws in [(16, 16), (16, 1000), (1000, 64), (1000, 4096), (2**16, 1000)]
+}
+DRAW_CASES |= {
+    "uniform-2": (np.full(2, 1 / 2), 1000),
+    "uniform-2^16": (np.full(2**16, 1 / 2**16), 300_000),
+    # equal weights whose normalized value is 0.015624999999999997, not 1/64,
+    # so the cdf is not k/64
+    "uniform-non-dyadic-64": (NON_DYADIC / NON_DYADIC.sum(), 1000),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_CASES)
+def test_draw_counts_cdf_values_at_or_below_each_uniform(name):
+    w, draws = DRAW_CASES[name]
+    n = len(w)
     cdf = w.cumsum()
     cdf /= cdf[-1]
+    # a grid of k = 2^j uniforms b/k, the cdf values of uniform weights over k
+    # strategies; every cdf value below 1 and its neighbours; then random
+    # uniforms, cut to `draws` values
     k = 1 << (min(n, draws).bit_length() - 1)
-    # every bucket edge, every cdf value below 1 and its neighbours, then random
-    # uniforms, cut to `draws` values so the table has k buckets
     edges = np.arange(k) / k
     on_cdf = cdf[cdf < 1]
     near = np.concatenate([np.nextafter(on_cdf, 0), np.nextafter(on_cdf, 1)])
