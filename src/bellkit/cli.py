@@ -51,13 +51,21 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags by default; this package reserves 2 for
     internal check failures, so usage problems exit 1 instead.  argparse also
     reads -3e1, -nan and -inf as flags; here they are values, as -30 is (the
-    type then refuses -nan and -inf).  Subparsers are built from this class too."""
+    type then refuses -nan and -inf).  argparse drops an OSError from printing
+    help or usage; here it propagates, so help on a closed stdout exits 1 as
+    every other command does.  Subparsers are built from this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|nan|inf(inity)?)$", re.IGNORECASE
         )
+
+    def _print_message(self, message, file=None):
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()  # a buffered stdout fails here, not in the exit flush
 
     def error(self, message):
         self.print_usage(sys.stderr)

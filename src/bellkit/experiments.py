@@ -7,9 +7,9 @@ An OutcomeDistribution holds one probability row in itertools.product((+1, -1))
 order over the parties, and every figure is a sum over those signs; the
 carrier's labels exist only in the views outcomes and probability_of.
 
-The shared states (and the photon basis they are built from) are constants:
-each is built and validated once, on first use, and the same frozen
-``StateVector`` is returned to every caller after that.
+The shared states are constants written as their amplitude vectors: each is
+built and validated once, on first use, and the same frozen ``StateVector``
+is returned to every caller after that.
 
 Every distribution goes through one batched readout core, ``_born_rows``.
 It takes a state and one sequence of basis-rotation angles per party, builds
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spin, tensor
-from .tensor import StateVector, kron, normalized
+from .tensor import StateVector, normalized
 
 PHOTON_OUTCOMES = ("pass", "stop")
 ELECTRON_OUTCOMES = spin.SPIN_HALF_LABELS
@@ -186,45 +186,29 @@ def _correlations(rows, runs, labels) -> list[float]:
 # --- shared states --------------------------------------------------------------
 
 
-@functools.cache
-def _photon_basis() -> tuple[StateVector, StateVector]:
-    bx = tensor.basis_state(("x", "y"), 0)
-    by = tensor.basis_state(("x", "y"), 1)
-    return bx, by
+def _photon_state(amps) -> StateVector:
+    """The normalized state with these amplitudes on the product basis
+    x⊗x…, first photon slowest and x before y: the index order _born_rows reads."""
+    kets = itertools.product("xy", repeat=len(amps).bit_length() - 1)
+    return normalized(amps, tuple("⊗".join(ket) for ket in kets))
 
 
 @functools.cache
 def entangled_pair_state() -> StateVector:
     """(|x>|y> + |y>|x>)/sqrt2, the rotation-invariant two-photon state."""
-    bx, by = _photon_basis()
-    return normalized(kron(bx, by).amps + kron(by, bx).amps, kron(bx, by).labels)
+    return _photon_state([0, 1, 1, 0])
 
 
 @functools.cache
 def hardy_state() -> StateVector:
     """(|xx> - |xy> - |yx> - 3|yy>)/sqrt12."""
-    bx, by = _photon_basis()
-    amps = (
-        kron(bx, bx).amps - kron(bx, by).amps - kron(by, bx).amps - 3 * kron(by, by).amps
-    )
-    return normalized(amps, kron(bx, bx).labels)
+    return _photon_state([1, -1, -1, -3])
 
 
 @functools.cache
 def ghz_state() -> StateVector:
     """(|yyy> - |yxx> - |xyx> - |xxy>)/2."""
-    bx, by = _photon_basis()
-
-    def triple(a, b, c):
-        return kron(kron(a, b), c)
-
-    amps = (
-        triple(by, by, by).amps
-        - triple(by, bx, bx).amps
-        - triple(bx, by, bx).amps
-        - triple(bx, bx, by).amps
-    )
-    return normalized(amps, triple(bx, bx, bx).labels)
+    return _photon_state([0, -1, -1, 0, -1, 0, 0, 1])
 
 
 def electron_singlet_state() -> StateVector:

@@ -144,9 +144,10 @@ def analyzer_transmission(p: PhotonState, theta: float) -> float:
 
 
 def analyzer_transmission_stokes(p: PhotonState, theta: float) -> float:
-    """Same transmission written with s1, s2 only; cross-check for the amplitude form."""
+    """Same transmission from the Stokes vector, (s0 + s1 cos2theta + s2 sin2theta)/2;
+    cross-check for the amplitude form."""
     s = stokes_from_state(p)
-    return clamp_probability(0.5 * (1.0 + s.s1 * math.cos(2 * theta) + s.s2 * math.sin(2 * theta)))
+    return clamp_probability(0.5 * (s.s0 + s.s1 * math.cos(2 * theta) + s.s2 * math.sin(2 * theta)))
 
 
 def to_circular(p: PhotonState) -> CircularDecomposition:

@@ -67,6 +67,10 @@ TEXT_GOLDENS = {
        for s in ("grid30", "grid120", "electron", "hardy", "ghz", "chsh")},
     "lhvt_chsh_mc1000_seed3": ("lhvt", "--scenario", "chsh", "--mc-trials", "1000", "--seed", "3"),
     "report_all": ("report", "--all"),
+    "pair_30_0": ("pair", "--theta1", "30", "--theta2", "0"),
+    "poincare_06_08": ("poincare", "--alpha-x", ".6", "--alpha-y", ".8"),
+    "rotate_one_30_40_50": ("rotate", "--spin", "one", "--euler", "30", "40", "50",
+                            "--state", "1", "0", "0", "0", "0", "0"),
 }
 
 
@@ -442,19 +446,24 @@ def test_report_json_values(capsys):
     ["report", "--all"],
     ["lhvt", "--scenario", "ghz"],
     ["rotate", "--spin", "half", "--euler", "0", "0", "0"],
+    ["--help"],
+    ["pair", "--help"],
 ], ids=" ".join)
 def test_closed_stdout_exits_1_without_traceback(argv):
-    # `bellkit ... | head -1` without the race: the pipe's read end is closed
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "bellkit.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "Exception ignored" not in proc.stderr
+    # `bellkit ... | head -1` without the race: the pipe's read end is closed.
+    # Block-buffered and unbuffered stdout fail at different writes, so run both.
+    buffered = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "bellkit.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, (env.get("PYTHONUNBUFFERED"), proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 def test_report_json_byte_identical_across_processes(tmp_path):

@@ -105,6 +105,17 @@ def test_analyzer_two_forms_agree(p, theta):
     assert abs(direct - via_stokes) < ABS_TOL
 
 
+@pytest.mark.parametrize("theta", [math.pi / 4, 3 * math.pi / 4], ids=["extinction", "full-pass"])
+def test_stokes_transmission_uses_s0(theta):
+    # |amps|^2 = 1 + 8e-13 passes the 1e-12 norm check; a stokes form with 1
+    # in place of s0 misses the amplitude form by 4e-13 (and goes negative at
+    # extinction)
+    a = math.sqrt(0.5 + 4e-13)
+    p = pol.PhotonState(a, 0.0, a, math.pi)
+    direct = pol.analyzer_transmission(p, theta)
+    assert abs(pol.analyzer_transmission_stokes(p, theta) - direct) < 1e-15
+
+
 def test_circular_decomposition_of_basis_states():
     cx = pol.to_circular(X)
     assert abs(cx.beta_rcp - RT2) < ABS_TOL and abs(cx.beta_lcp - RT2) < ABS_TOL

@@ -163,6 +163,16 @@ PAIRS = list(zip(random_angles(random.Random(SEED), 600), random_angles(random.R
 
 
 @pytest.mark.parametrize("new, ref", [
+    (ex.entangled_pair_state, ref_pair_state),
+    (ex.hardy_state, ref_hardy_state),
+    (ex.ghz_state, ref_ghz_state),
+], ids=["pair", "hardy", "ghz"])
+def test_photon_states_equal_kron_references(new, ref):
+    assert new().amps.tobytes() == ref().amps.tobytes()
+    assert new().labels == ref().labels
+
+
+@pytest.mark.parametrize("new, ref", [
     (ex.entangled_pair_distribution, ref_pair),
     (ex.electron_singlet_distribution, ref_singlet),
     (lambda a, b: ex.hardy_distribution(a, b, allow_general=True), ref_hardy),
