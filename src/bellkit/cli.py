@@ -276,13 +276,13 @@ def _pair(name, description, bound, figure, distribution, delta, *extra) -> RunR
     of distribution at (0, delta deg); extra lines go after the bound line."""
     quantum = getattr(distribution(0.0, math.radians(delta)), figure)()
     classical = {
-        "strategy_count": len(bound.scores),
+        "strategy_count": bound.strategy_count,
         "optimizer_count": len(bound.optimizers),
         "optimizers": [card_string(t) for t in bound.optimizers],
     }
     return _against_bound(name, f"{figure}_delta{delta}", quantum, bound, classical, (
         f"scenario {name}: {description}",
-        f"strategies: {len(bound.scores)}",
+        f"strategies: {bound.strategy_count}",
         _bound_line(figure, bound),
         *extra,
         f"quantum {figure} at delta={delta}deg: {_fmt(quantum)}",
@@ -290,11 +290,13 @@ def _pair(name, description, bound, figure, distribution, delta, *extra) -> RunR
 
 
 def _grid30() -> RunReport:
-    bound = lhvt.max_agreement_30grid()
+    spec = lhvt.grid30_scenario()
+    low = lhvt._pair_bound(spec, "agreement", "min")
     return _pair(
-        "grid30", "shared card, 12 settings, second analyzer +30deg", bound, "agreement",
+        "grid30", "shared card, 12 settings, second analyzer +30deg",
+        lhvt._pair_bound(spec, "agreement", "max"), "agreement",
         experiments.entangled_pair_distribution, 30,
-        f"zero-agreement cards: {bound.scores.count(0)}",
+        f"zero-agreement cards: {len(low.optimizers) if low.value == 0 else 0}",
     )
 
 

@@ -19,10 +19,12 @@ identical/opposite cards are signed copies of free columns.  The +/-1
 invariant is checked once per card array, not once per strategy.  Mixtures
 and samples gather from its int8 run-product matrix.  The canonical two-party
 bounds (grid30, grid120, electron, CHSH) are scored from that matrix in one
-integer pass, and Hardy's pass/pass from the run answers its zero filter
-gathered.  A strategy is a plain tuple with one tuple of +/-1 answers per
-party, in that party's setting order (Strategy).  Strategies are built only
-for what a result lists: a bound's optimizers, the Hardy and GHZ stages,
+integer pass.  The Hardy and GHZ zero filters read a strategy's answer on a
+run as that joint outcome's row in the run's distribution, and look it up in
+one boolean table of the quantum zeros; Hardy's pass/pass is row 0.  A
+strategy is a plain tuple with one tuple of +/-1 answers per party, in that
+party's setting order (Strategy).  Strategies are built only for what a
+result lists: a bound's optimizers, the Hardy and GHZ stages,
 enumerate_strategies, and the ones agreement_fraction and
 antiparallel_fraction score one at a time (_extremize).  At most
 MAX_STRATEGIES = 2**16 strategies are enumerated; larger spaces are refused
@@ -52,9 +54,9 @@ PASS, STOP = 1, -1
 
 # Hard ceiling on exhaustive enumeration, checked before anything is allocated.
 # Two parties with eight settings each (2^16 strategies), scored by agreement
-# over all 64 runs, take about 15 ms of CPU time for the array bound the CLI
-# uses (_pair_bound), 136 ms to build every strategy tuple
-# (enumerate_strategies) and 2.4 s to score them one at a time (_extremize),
+# over all 64 runs, take about 10 ms of CPU time for the array bound the CLI
+# uses (_pair_bound), 130-155 ms to build every strategy tuple
+# (enumerate_strategies) and 1.9-2.4 s to score them one at a time (_extremize),
 # best of several runs (2-CPU Intel Xeon, Python 3.11, numpy 2.4).
 MAX_STRATEGIES = 2**16
 
@@ -109,6 +111,8 @@ class ScenarioSpec:
         for run in self.runs:
             if len(run) != self.parties:
                 raise ValueError(f"run {run} does not name one angle per party")
+        if not self.runs:
+            raise ValueError("a scenario needs at least one run")
         run_index = tuple(
             tuple(self.setting_index(p, angle) for p, angle in enumerate(run)) for run in self.runs
         )
@@ -127,15 +131,15 @@ class ClassicalBound:
 
     Mixtures cannot beat it: the figure of merit is an average of per-run
     scores, so it is affine in the mixing weights and extremized at a vertex.
-    optimizers lists the strategies that reach it and scores holds each
-    strategy's figure of merit, both in enumeration order, over the whole
+    optimizers lists the strategies that reach it, in enumeration order, and
+    strategy_count is the number of strategies it was taken over: the whole
     space or the strategies a filter let through.
     """
 
     value: Fraction
     direction: str
     optimizers: tuple[Strategy, ...]
-    scores: tuple[Fraction, ...] = field(default=(), repr=False)
+    strategy_count: int
 
     def __post_init__(self):
         if self.direction not in ("max", "min"):
@@ -191,9 +195,7 @@ def _column_offsets(spec: ScenarioSpec) -> list[int]:
 
 def _run_columns(spec: ScenarioSpec) -> np.ndarray:
     """Card-array column of each party's setting in each run, shape (runs, parties)."""
-    columns = np.array(spec.run_index, dtype=np.intp).reshape(len(spec.runs), spec.parties)
-    columns += _column_offsets(spec)
-    return columns
+    return np.array(spec.run_index, dtype=np.intp) + _column_offsets(spec)
 
 
 def _tables(spec: ScenarioSpec, cards: np.ndarray) -> list[Strategy]:
@@ -209,6 +211,8 @@ def enumerate_strategies(spec: ScenarioSpec) -> list[Strategy]:
 
 def _agreements(spec: ScenarioSpec, strategy: Strategy) -> int:
     """Number of the scenario's runs on which all parties answer alike."""
+    if len(strategy) != spec.parties:
+        raise ValueError(f"strategy answers for {len(strategy)} parties, not {spec.parties}")
     return sum(1 for run in spec.run_index if len(set(map(getitem, strategy, run))) == 1)
 
 
@@ -219,6 +223,8 @@ def agreement_fraction(spec: ScenarioSpec, strategy: Strategy) -> Fraction:
 
 def antiparallel_fraction(spec: ScenarioSpec, strategy: Strategy) -> Fraction:
     """Two-party fraction of runs with opposite answers."""
+    if spec.parties != 2:
+        raise ValueError("antiparallel_fraction needs a two-party scenario")
     return Fraction(len(spec.runs) - _agreements(spec, strategy), len(spec.runs))
 
 
@@ -283,7 +289,7 @@ def _extremize(spec, score, direction) -> ClassicalBound:
     scores = [score(t) for t in strategies]
     best = max(scores) if direction == "max" else min(scores)
     optimizers = tuple(t for t, s in zip(strategies, scores) if s == best)
-    return ClassicalBound(best, direction, optimizers, tuple(scores))
+    return ClassicalBound(best, direction, optimizers, len(strategies))
 
 
 def _array_bound(
@@ -291,15 +297,11 @@ def _array_bound(
 ) -> ClassicalBound:
     """The bound over the card rows whose figures of merit are numerators /
     denominator, one integer per row in enumeration order.  The best is taken
-    on the integers, strategies are built for the optimizers only, in
-    enumeration order, and each distinct Fraction is built once."""
-    values = numerators.tolist()
-    best = max(values) if direction == "max" else min(values)
-    fractions = {n: Fraction(n, denominator) for n in set(values)}
+    on the integers, and strategies are built for the optimizers only, in
+    enumeration order."""
+    best = numerators.max() if direction == "max" else numerators.min()
     optimizers = tuple(_tables(spec, cards[numerators == best]))
-    return ClassicalBound(
-        fractions[best], direction, optimizers, tuple(fractions[n] for n in values)
-    )
+    return ClassicalBound(Fraction(int(best), denominator), direction, optimizers, len(cards))
 
 
 def _pair_bound(spec: ScenarioSpec, figure: str, direction: str) -> ClassicalBound:
@@ -329,30 +331,25 @@ def min_antiparallel_electron() -> ClassicalBound:
     return _pair_bound(electron_scenario(), "antiparallel", "min")
 
 
-def _quantum_zeros(distributions) -> list[tuple[int, tuple[int, ...]]]:
-    """(r, +/-1 joint outcome) for each outcome with probability at most
-    ZERO_TOL in distributions[r], in the distribution's row order."""
-    return [
-        (r, signs)
-        for r, dist in enumerate(distributions)
-        for signs, p in zip(dist.signs, dist.probabilities)
-        if p <= ZERO_TOL
-    ]
+def _outcome_rows(spec: ScenarioSpec, cards: np.ndarray) -> np.ndarray:
+    """Each strategy's joint answer on each run as the index of that outcome's
+    row in the run's OutcomeDistribution, shape (strategies, runs): -1 is bit
+    1, first party most significant, so all-pass is row 0."""
+    weights = 1 << np.arange(spec.parties - 1, -1, -1)
+    return (cards[:, _run_columns(spec)] == STOP) @ weights
 
 
 def _forbidden(spec: ScenarioSpec, cases: dict):
-    """The card array, its +/-1 answers on every run (shape (strategies, runs,
-    parties)), and for each strategy the set of case letters whose quantum
-    distribution forbids the outcome it would produce; cases maps each run's
-    letter to its distribution, in run order.  Hardy's zeros and the GHZ
-    parities both eliminate strategies by these sets."""
+    """The card array, its outcome rows on every run (_outcome_rows), and for
+    each strategy the set of case letters whose quantum distribution forbids
+    (probability at most ZERO_TOL) the outcome it would produce; cases maps
+    each run's letter to its distribution, in run order.  Hardy's zeros and
+    the GHZ parities both eliminate strategies by these sets."""
     cards = _cards(spec)
-    answers = cards[:, _run_columns(spec)]
-    forbidden = np.zeros(answers.shape[:2], dtype=bool)
-    for r, signs in _quantum_zeros(cases.values()):
-        forbidden[:, r] |= (answers[:, r] == signs).all(axis=1)
-    hits = [frozenset(compress(cases, row)) for row in forbidden.tolist()]
-    return cards, answers, hits
+    rows = _outcome_rows(spec, cards)
+    zeros = np.array([d.probabilities for d in cases.values()]) <= ZERO_TOL
+    forbidden = zeros[np.arange(len(cases)), rows]
+    return cards, rows, [frozenset(compress(cases, row)) for row in forbidden.tolist()]
 
 
 @dataclass(frozen=True)
@@ -374,11 +371,10 @@ def hardy_stages() -> HardyStages:
     forbids, then bound pass/pass (both answers +1) at (0,0) over the rest."""
     spec = hardy_scenario()
     runs = {c: experiments.hardy_distribution(*a) for c, a in experiments.HARDY_CASES.items()}
-    cards, answers, hits = _forbidden(spec, runs)
+    cards, rows, hits = _forbidden(spec, runs)
     tables = _tables(spec, cards)
     feasible = [i for i, hit in enumerate(hits) if not hit]
-    passpass = (answers[feasible, 0] == PASS).all(axis=1).astype(np.int64)
-    bound = _array_bound(spec, cards[feasible], passpass, 1, "max")
+    bound = _array_bound(spec, cards[feasible], (rows[feasible, 0] == 0).astype(int), 1, "max")
     survivors = tuple(tables[i] for i in feasible)
     return HardyStages(tuple(tables), tuple(hits), survivors, bound, tuple(runs.values()))
 
@@ -554,12 +550,8 @@ def monte_carlo_mixture(
     means, errors = [], []
     for start, n in zip(accumulate(counts, initial=0), counts):
         sel = by_run[start : start + n].astype(float)
-        if n == 0:
-            means.append(math.nan)
-            errors.append(math.nan)
-        else:
-            means.append(float(sel.mean()))
-            errors.append(float(sel.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan)
+        means.append(float(sel.mean()) if n else math.nan)
+        errors.append(float(sel.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan)
     exact = w @ products
     return MixtureEstimate(
         spec.runs, tuple(counts), tuple(means), tuple(errors), tuple(float(x) for x in exact)

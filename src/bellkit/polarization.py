@@ -27,10 +27,12 @@ class PhotonState:
     phi_y: float
 
     def __post_init__(self):
-        if self.alpha_x < 0 or self.alpha_y < 0:
+        if not (self.alpha_x >= 0 and self.alpha_y >= 0):
             raise ValueError("amplitude moduli must be non-negative")
+        if not (math.isfinite(self.phi_x) and math.isfinite(self.phi_y)):
+            raise ValueError(f"phases {self.phi_x!r}, {self.phi_y!r} must be finite")
         norm = self.alpha_x**2 + self.alpha_y**2
-        if abs(norm - 1.0) > TOL_NORM:
+        if not abs(norm - 1.0) <= TOL_NORM:
             raise ValueError(f"photon state not normalized: alpha_x^2+alpha_y^2 = {norm!r}")
 
     @property
@@ -52,10 +54,10 @@ class StokesVector:
     s3: float
 
     def __post_init__(self):
-        if abs(self.s0 - 1.0) > TOL_NORM:
+        if not abs(self.s0 - 1.0) <= TOL_NORM:
             raise ValueError(f"s0 = {self.s0!r}, expected 1 for a normalized pure state")
         r2 = self.s1**2 + self.s2**2 + self.s3**2
-        if abs(r2 - self.s0**2) > TOL_NORM:
+        if not abs(r2 - self.s0**2) <= TOL_NORM:
             raise ValueError(f"not on the Poincare sphere: s1^2+s2^2+s3^2 = {r2!r}")
 
 
@@ -82,7 +84,7 @@ class CircularDecomposition:
 
     def __post_init__(self):
         norm = abs(self.beta_rcp) ** 2 + abs(self.beta_lcp) ** 2
-        if abs(norm - 1.0) > TOL_NORM:
+        if not abs(norm - 1.0) <= TOL_NORM:
             raise ValueError(f"circular decomposition not normalized: {norm!r}")
 
 
@@ -96,6 +98,8 @@ class BlochCoords:
     def __post_init__(self):
         if not -TOL_NORM <= self.theta0 <= math.pi + TOL_NORM:
             raise ValueError(f"theta0 = {self.theta0!r} outside [0, pi]")
+        if not math.isfinite(self.phi0):
+            raise ValueError(f"phi0 = {self.phi0!r} is not finite")
         phi = self.phi0 % (2 * math.pi)
         # A tiny negative azimuth wraps to a sum that rounds to 2 pi, which is 0.
         if phi == 2 * math.pi or self.theta0 <= POLE_TOL or self.theta0 >= math.pi - POLE_TOL:

@@ -59,7 +59,7 @@ def _unit_axis(n) -> np.ndarray:
     v = np.asarray(n, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"rotation axis must have 3 components, got shape {v.shape}")
-    if abs(float(v @ v) - 1.0) > TOL_NORM:
+    if not abs(float(v @ v) - 1.0) <= TOL_NORM:
         raise ValueError(f"rotation axis must be unit length, |n|^2 = {float(v @ v)!r}")
     return v
 

@@ -122,11 +122,11 @@ def probability(state: StateVector, index: int) -> float:
 
 
 def clamp_probability(p: float) -> float:
-    """Round tiny negative float noise (>= -1e-15) up to exactly 0."""
+    """Round tiny negative float noise (>= -1e-15) up to 0; lower values and NaN raise."""
     if -1e-15 <= p < 0.0:
         return 0.0
-    if p < 0.0:
-        raise ValueError(f"probability {p!r} below the clamp window")
+    if not p >= 0.0:
+        raise ValueError(f"probability {p!r} below the clamp window or undefined")
     return p
 
 

@@ -84,18 +84,21 @@ def test_identical_and_opposite_cards():
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one angle tuple per party"):
         lhvt.ScenarioSpec("bad", 2, ((0.0,),), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mutually exclusive"):
         lhvt.ScenarioSpec("bad", 2, ((0.0,), (0.0,)), (), identical=True, opposite=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need identical setting lists"):
         lhvt.ScenarioSpec("bad", 2, ((0.0,), (1.0,)), (), identical=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="defined for two parties"):
         lhvt.ScenarioSpec("bad", 3, ((0.0,),) * 3, (), opposite=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="run angle 5.0 not among party 2 settings"):
         lhvt.ScenarioSpec("bad", 2, ((0.0,), (0.0,)), ((0.0, 5.0),))
     with pytest.raises(ValueError, match="repeat an angle"):
         lhvt.ScenarioSpec("bad", 2, ((0.0, 0.0), (0.0, 45.0)), ())
+    # no run means no figure of merit: every fraction would divide by zero
+    with pytest.raises(ValueError, match="at least one run"):
+        lhvt.ScenarioSpec("bad", 2, ((0.0, 45.0), (0.0, 45.0)), ())
 
 
 @pytest.mark.parametrize("run", [(0.0,), (0.0, 45.0, 0.0)], ids=["too-few", "too-many"])
@@ -176,7 +179,13 @@ def test_electron_equal_settings_always_antiparallel():
 
 def test_hardy_constraints_derived_from_quantum_zeros():
     # runs B, C and D each forbid one joint outcome
-    assert lhvt._quantum_zeros(lhvt.hardy_stages().runs) == [
+    zeros = [
+        (r, signs)
+        for r, dist in enumerate(lhvt.hardy_stages().runs)
+        for signs, p in zip(dist.signs, dist.probabilities)
+        if p <= lhvt.ZERO_TOL
+    ]
+    assert zeros == [
         (1, (PASS, PASS)),
         (2, (PASS, PASS)),
         (3, (STOP, STOP)),
@@ -256,7 +265,7 @@ def test_hardy_passpass_bound_matches_per_table_reference():
     bound = lhvt.hardy_passpass_bound()
     assert (bound.value, bound.direction) == (best, "max")
     assert bound.optimizers == tuple(t for t, s in zip(feasible, scores) if s == best)
-    assert bound.scores == scores
+    assert bound.strategy_count == len(feasible) == 5
 
 
 def test_ghz_stage_counts():
@@ -390,7 +399,7 @@ def test_monte_carlo_validation():
 
 def test_classical_bound_direction_validation():
     with pytest.raises(ValueError):
-        lhvt.ClassicalBound(Fraction(1), "sideways", ())
+        lhvt.ClassicalBound(Fraction(1), "sideways", (), 0)
 
 
 def test_mixtures_cannot_beat_grid30_bound():
@@ -404,3 +413,15 @@ def test_mixtures_cannot_beat_grid30_bound():
         w /= w.sum()
         mixed = sum(float(f) * wi for f, wi in zip(fracs, w))
         assert mixed <= float(lhvt.max_agreement_30grid().value) + 1e-12
+
+
+@pytest.mark.parametrize("figure, spec, strategy", [
+    (lhvt.agreement_fraction, lhvt.grid120_scenario(), ((1, 1, 1),)),
+    (lhvt.agreement_fraction, lhvt.grid120_scenario(), ((1, 1, 1),) * 3),
+    (lhvt.antiparallel_fraction, lhvt.electron_scenario(), ((1, 1, 1),)),
+    (lhvt.antiparallel_fraction, lhvt.ghz_scenario(), ((1, 1),) * 3),
+], ids=["agreement-one-party", "agreement-three-parties", "antiparallel-one-party", "antiparallel-ghz"])
+def test_figures_refuse_malformed_input(figure, spec, strategy):
+    # map() would stop at the shorter of strategy and run and answer a number
+    with pytest.raises(ValueError, match="parties, not 2|needs a two-party scenario"):
+        figure(spec, strategy)

@@ -200,13 +200,26 @@ def test_engine_matches_loop_enumerator(index):
 
 
 def test_engine_run_outcomes_match_reference():
-    # the run answers the zero filter (_forbidden) gathers from the card array
+    # the run answers _outcome_rows gathers from the card array
     for spec in SPECS[:10]:
         answers = lhvt._cards(spec)[:, lhvt._run_columns(spec)].tolist()
         tables = reference_strategies(spec)
         assert len(answers) == len(tables)
         for t, row in zip(tables, answers):
             assert [list(reference_run_outcomes(spec, t, run)) for run in spec.runs] == row
+
+
+@pytest.mark.parametrize("index", range(len(SPECS)))
+def test_outcome_rows_index_the_distribution_rows(index):
+    # the zero filter (_forbidden) looks each joint answer up by its row in an
+    # OutcomeDistribution, whose rows run over itertools.product((1, -1))
+    spec = SPECS[index]
+    order = list(itertools.product((1, -1), repeat=spec.parties))
+    rows = lhvt._outcome_rows(spec, lhvt._cards(spec)).tolist()
+    tables = reference_strategies(spec)
+    assert len(rows) == len(tables)
+    for t, row in zip(tables, rows):
+        assert row == [order.index(reference_run_outcomes(spec, t, run)) for run in spec.runs]
 
 
 # --- the sampler against Generator.choice and per-run masks -------------------
@@ -315,8 +328,7 @@ def assert_same_bound(bound, spec, fraction, direction):
     assert type(bound.value) is Fraction and bound.value == reference.value
     assert bound.direction == direction
     assert bound.optimizers == reference.optimizers
-    assert bound.scores == tuple(fraction(spec, t) for t in lhvt.enumerate_strategies(spec))
-    assert bound.scores == reference.scores
+    assert bound.strategy_count == reference.strategy_count == len(lhvt.enumerate_strategies(spec))
 
 
 @pytest.mark.parametrize("bound, scenario, figure", [
@@ -397,4 +409,4 @@ def test_pair_bound_at_the_enumeration_ceiling():
         bound = lhvt._pair_bound(spec, "agreement", direction)
         assert type(bound.value) is Fraction and bound.value == value
         assert bound.optimizers == optimizers
-        assert len(bound.scores) == lhvt.MAX_STRATEGIES == 2**16
+        assert bound.strategy_count == lhvt.MAX_STRATEGIES == 2**16

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit import polarization as pol
+from bellkit import spin, tensor
 
 ABS_TOL = 1e-12
 RT2 = 1 / math.sqrt(2)
@@ -223,4 +224,33 @@ def test_photon_state_guards():
 ], ids=["stokes-s0", "ellipse-rho", "ellipse-eta", "circular-norm", "bloch-theta0"])
 def test_input_checks_raise(build, message):
     with pytest.raises(ValueError, match=message):
+        build()
+
+
+NAN, INF = math.nan, math.inf
+X_AXIS = (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pol.PhotonState(NAN, 0.0, 0.0, 0.0),
+    lambda: pol.PhotonState(1.0, 0.0, NAN, 0.0),
+    lambda: pol.PhotonState(1.0, NAN, 0.0, 0.0),
+    lambda: pol.PhotonState(1.0, 0.0, 0.0, INF),
+    lambda: pol.PhotonState(1.0, -INF, 0.0, 0.0),
+    lambda: pol.StokesVector(1.0, NAN, 0.0, 0.0),
+    lambda: pol.StokesVector(NAN, 1.0, 0.0, 0.0),
+    lambda: pol.CircularDecomposition(NAN, 0.0),
+    lambda: pol.BlochCoords(1.0, NAN),
+    lambda: pol.BlochCoords(1.0, INF),
+    lambda: spin.rotate_vector(X_AXIS, (NAN, 0.0, 0.0), 0.3),
+    lambda: pol.analyzer_transmission(X, NAN),
+    lambda: tensor.clamp_probability(NAN),
+], ids=[
+    "photon-alpha-x", "photon-alpha-y", "photon-phi-x", "photon-phi-y-inf", "photon-phi-x-minus-inf",
+    "stokes-s1", "stokes-s0", "circular", "bloch-phi0", "bloch-phi0-inf",
+    "spin-rotate-axis", "analyzer-theta", "clamp",
+])
+def test_nan_never_passes_an_invariant(build):
+    # a NaN compares false with everything, so every check reads `not (... <= tol)`
+    with pytest.raises(ValueError):
         build()
