@@ -398,7 +398,8 @@ def _chsh(angles=None, mc_trials: int = 0, seed: int = 0) -> RunReport:
             )
             lines.append(f"  run {run[0]:g}/{run[1]:g} deg: {sampled}, exact {_fmt(exact)}")
         if min(est.counts) > 1:
-            m, se = est.chsh_combination()
+            m = experiments.chsh_combination(*est.means)
+            se = math.sqrt(sum(s**2 for s in est.std_errors))
             lines.append(f"  combination estimate {_fmt(m)} +/- {_fmt(se)}")
         else:
             lines.append("  combination estimate unavailable: every run needs at least 2 samples")

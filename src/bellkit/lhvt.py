@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import getitem
 
 import numpy as np
@@ -80,7 +80,8 @@ class ScenarioSpec:
     joint settings that the figure of merit averages over.  identical shares one
     card among all parties, opposite gives party 2 the arrow-flipped card of
     party 1, and flip_90 links each angle to its partner 90 degrees away with
-    the opposite outcome.  Each party's settings must be distinct.
+    the opposite outcome.  Angles must be finite, and each party's settings
+    distinct.
     run_index holds each run's per-party setting indices.
     """
 
@@ -103,6 +104,8 @@ class ScenarioSpec:
             raise ValueError("shared-card scenarios need identical setting lists")
         if self.opposite and self.parties != 2:
             raise ValueError("opposite cards are defined for two parties")
+        if not all(map(math.isfinite, chain(*self.settings, *self.runs))):
+            raise ValueError("setting and run angles must be finite")
         index = tuple({angle: k for k, angle in enumerate(s)} for s in self.settings)
         for p, angles in enumerate(self.settings):
             if len(index[p]) != len(angles):
@@ -466,14 +469,6 @@ def exact_mixture_correlations(spec: ScenarioSpec, weights) -> np.ndarray:
     return _checked_weights(weights, len(products)) @ products
 
 
-def exact_marginal_mean(spec: ScenarioSpec, weights, party: int, angle: float) -> float:
-    """One party's expected outcome at one setting under a mixture."""
-    cards = _cards(spec)
-    w = _checked_weights(weights, len(cards))
-    column = _column_offsets(spec)[party] + spec.setting_index(party, angle)
-    return float(w @ cards[:, column])
-
-
 def _checked_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
@@ -502,14 +497,6 @@ class MixtureEstimate:
     means: tuple[float, ...]
     std_errors: tuple[float, ...]
     exact: tuple[float, ...]
-
-    def chsh_combination(self) -> tuple[float, float]:
-        """(estimate, standard error) of experiments.chsh_combination of the
-        four runs' means."""
-        if len(self.runs) != 4:
-            raise ValueError("the combination needs exactly four runs")
-        se = math.sqrt(sum(s**2 for s in self.std_errors))
-        return experiments.chsh_combination(*self.means), se
 
 
 def monte_carlo_mixture(

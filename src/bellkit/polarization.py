@@ -118,18 +118,9 @@ def stokes_from_state(p: PhotonState) -> StokesVector:
     )
 
 
-def ellipse_to_stokes(e: PolarizationEllipse) -> StokesVector:
-    """Longitude 2*rho and latitude 2*eta on the Poincare sphere."""
-    return StokesVector(
-        1.0,
-        math.cos(2 * e.eta) * math.cos(2 * e.rho),
-        math.cos(2 * e.eta) * math.sin(2 * e.rho),
-        math.sin(2 * e.eta),
-    )
-
-
 def stokes_to_ellipse(s: StokesVector) -> PolarizationEllipse:
-    """Inverse of ellipse_to_stokes; orientation is set to 0 at the circular poles."""
+    """Orientation rho = longitude / 2 and ellipticity eta = latitude / 2 on the
+    Poincare sphere; orientation is set to 0 at the circular poles."""
     if abs(s.s3) >= 1.0 - POLE_TOL:
         return PolarizationEllipse(0.0, math.copysign(math.pi / 4, s.s3))
     rho = 0.5 * math.atan2(s.s2, s.s1)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import BlochCoords
 from .tensor import TOL_NORM, MatrixOperator, StateVector, kron_op
 
 SPIN_HALF_LABELS = ("↑", "↓")
@@ -41,6 +40,10 @@ class EulerAngles:
     theta: float
     phi: float
     chi: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi) and math.isfinite(self.chi)):
+            raise ValueError(f"{self!r} has a non-finite angle")
 
 
 def pauli(axis: str) -> MatrixOperator:
@@ -72,22 +75,17 @@ def unitary_axis_angle(n, theta: float) -> MatrixOperator:
     )
 
 
-def unitary_exp(n, theta: float, terms: int | None = None) -> MatrixOperator:
-    """exp[i (theta/2) n . sigma] summed as a power series.
-
-    With terms=None the series runs to machine convergence; an explicit count
-    truncates after exactly that many terms (k = 0 .. terms-1), which the tests
-    use to measure truncation error against the closed form.
-    """
+def unitary_exp(n, theta: float) -> MatrixOperator:
+    """exp[i (theta/2) n . sigma] summed as a power series, until a term's
+    largest entry falls below 1e-17 (at most 60 terms)."""
     v = _unit_axis(n)
     a = 0.5j * theta * sigma_dot(v).entries
     acc = np.eye(2, dtype=complex)
     term = np.eye(2, dtype=complex)
-    limit = terms if terms is not None else 60
-    for k in range(1, limit):
+    for k in range(1, 60):
         term = term @ a / k
         acc = acc + term
-        if terms is None and float(np.max(np.abs(term))) < 1e-17:
+        if float(np.max(np.abs(term))) < 1e-17:
             break
     return MatrixOperator(acc)
 
@@ -97,6 +95,8 @@ def rotate_vector(a, n, theta: float) -> np.ndarray:
     a' = (a.n) n + sin(theta) (a x n) + cos(theta) [a - (a.n) n]."""
     v = _unit_axis(n)
     a = np.asarray(a, dtype=float)
+    if not (math.isfinite(theta) and np.isfinite(a).all()):
+        raise ValueError(f"vector {a} and angle {theta!r} must be finite")
     along = (a @ v) * v
     return along + math.sin(theta) * np.cross(a, v) + math.cos(theta) * (a - along)
 
@@ -116,14 +116,6 @@ def euler_rotation_su2(e: EulerAngles) -> MatrixOperator:
         [ct * cmath.exp(0.5j * e.chi), st * cmath.exp(-1j * (e.phi + 0.5 * e.chi))],
         [-st * cmath.exp(1j * (e.phi + 0.5 * e.chi)), ct * cmath.exp(-0.5j * e.chi)],
     ])
-
-
-def bloch_ket(b: BlochCoords) -> StateVector:
-    """cos(theta0/2)|up> + sin(theta0/2) e^{i phi0} |down>."""
-    return StateVector(
-        [math.cos(b.theta0 / 2), math.sin(b.theta0 / 2) * cmath.exp(1j * b.phi0)],
-        SPIN_HALF_LABELS,
-    )
 
 
 def spin_half_operator(axis: str) -> MatrixOperator:

@@ -114,13 +114,6 @@ def apply(op: MatrixOperator, state: StateVector) -> StateVector:
     return StateVector(op.entries @ state.amps, state.labels)
 
 
-def probability(state: StateVector, index: int) -> float:
-    """Born probability |amps[index]|^2, clamped so -1e-15 <= p < 0 reads as 0."""
-    if not 0 <= index < state.dim:
-        raise IndexError(f"basis index {index} out of range for dim {state.dim}")
-    return clamp_probability(float(np.abs(state.amps[index]) ** 2))
-
-
 def clamp_probability(p: float) -> float:
     """Round tiny negative float noise (>= -1e-15) up to 0; lower values and NaN raise."""
     if -1e-15 <= p < 0.0:

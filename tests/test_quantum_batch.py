@@ -63,7 +63,7 @@ def ref_distribution(state, settings, plus_indices, outcome_labels) -> RefDistri
             local = plus_indices[p] if c == 0 else 1 - plus_indices[p]
             index = 2 * index + local
         labels = tuple(outcome_labels[c] for c in choice)
-        rows.append((labels, tensor.probability(state, index)))
+        rows.append((labels, tensor.clamp_probability(float(np.abs(state.amps[index]) ** 2))))
     return RefDistribution(tuple(settings), tuple(rows), outcome_labels)
 
 

@@ -25,6 +25,14 @@ def _random_euler(rng):
     return EulerAngles(*rng.uniform(-2 * math.pi, 2 * math.pi, size=3))
 
 
+def bloch_ket(b: BlochCoords) -> tensor.StateVector:
+    """cos(theta0/2)|up> + sin(theta0/2) e^{i phi0} |down>."""
+    return tensor.StateVector(
+        [math.cos(b.theta0 / 2), math.sin(b.theta0 / 2) * cmath.exp(1j * b.phi0)],
+        spin.SPIN_HALF_LABELS,
+    )
+
+
 def euler_product_form(e: EulerAngles) -> np.ndarray:
     """The Euler rotation as exp[i(theta/2) sigma.(-sin phi, cos phi, 0)] exp[i(chi/2) sigma_z]."""
     tilt = spin.unitary_axis_angle((-math.sin(e.phi), math.cos(e.phi), 0.0), e.theta)
@@ -86,6 +94,23 @@ def test_input_checks_raise(build, message):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: EulerAngles(math.nan, 0.0, 0.0),
+    lambda: EulerAngles(0.0, math.inf, 0.0),
+    lambda: EulerAngles(0.0, 0.0, -math.inf),
+    lambda: spin.rotate_vector((math.nan, 0.0, 0.0), Z, 0.3),
+    lambda: spin.rotate_vector((0.0, -math.inf, 0.0), Z, 0.3),
+    lambda: spin.rotate_vector(X, Z, math.nan),
+    lambda: spin.rotate_vector(X, Z, math.inf),
+], ids=[
+    "euler-theta-nan", "euler-phi-inf", "euler-chi-minus-inf",
+    "rotate-vector-nan", "rotate-vector-minus-inf", "rotate-angle-nan", "rotate-angle-inf",
+])
+def test_non_finite_rotation_input_is_refused(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_series_matches_closed_form():
     rng = np.random.default_rng(SEED)
     worst = 0.0
@@ -100,26 +125,16 @@ def test_series_matches_closed_form():
 
 
 def test_series_truncation_budget():
-    # measured behaviour of the truncated series against the closed form:
-    # 20 terms suffice for |theta| <= pi, but not at the 2 pi edge, where the
-    # remainder is a few 1e-9 and 26 terms are needed for 1e-12.
-    def worst(terms, tmax):
-        out = 0.0
-        for theta in np.linspace(-tmax, tmax, 41):
-            for n in (X, Z, tuple(np.array([1, 1, 1]) / math.sqrt(3))):
-                d = np.max(
-                    np.abs(
-                        spin.unitary_axis_angle(n, theta).entries
-                        - spin.unitary_exp(n, theta, terms=terms).entries
-                    )
-                )
-                out = max(out, float(d))
-        return out
-
-    assert worst(20, math.pi) < 1e-12
-    edge = worst(20, 2 * math.pi)
-    assert 1e-12 < edge < 1e-8
-    assert worst(26, 2 * math.pi) < 1e-12
+    # the series runs until a term falls below 1e-17, so it stays within 1e-12
+    # of the closed form out to the 2 pi edge
+    worst = 0.0
+    for theta in np.linspace(-2 * math.pi, 2 * math.pi, 41):
+        for n in (X, Z, tuple(np.array([1, 1, 1]) / math.sqrt(3))):
+            d = np.max(
+                np.abs(spin.unitary_axis_angle(n, theta).entries - spin.unitary_exp(n, theta).entries)
+            )
+            worst = max(worst, float(d))
+    assert worst < 1e-12
 
 
 def test_rotate_vector_left_hand_rule_and_isometry():
@@ -164,15 +179,15 @@ def test_euler_special_cases():
 def test_euler_on_bloch_poles():
     e = EulerAngles(0.9, 2.1, -0.6)
     u = spin.euler_rotation_su2(e)
-    north = tensor.apply(u, spin.bloch_ket(BlochCoords(0.0, 0.0)))
+    north = tensor.apply(u, bloch_ket(BlochCoords(0.0, 0.0)))
     expect_n = tensor.StateVector(
         [math.cos(e.theta / 2), -math.sin(e.theta / 2) * cmath.exp(1j * e.phi)],
         spin.SPIN_HALF_LABELS,
     )
     # equal up to a global phase
     assert abs(tensor.inner(north, expect_n)) >= 1 - 10 * tensor.TOL_NORM
-    south = tensor.apply(u, spin.bloch_ket(BlochCoords(math.pi, 0.0)))
-    expect_s = spin.bloch_ket(BlochCoords(math.pi - e.theta, e.phi))
+    south = tensor.apply(u, bloch_ket(BlochCoords(math.pi, 0.0)))
+    expect_s = bloch_ket(BlochCoords(math.pi - e.theta, e.phi))
     assert abs(tensor.inner(south, expect_s)) >= 1 - 10 * tensor.TOL_NORM
 
 

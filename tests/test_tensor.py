@@ -17,7 +17,6 @@ from bellkit.tensor import (
     kron,
     kron_op,
     normalized,
-    probability,
     unitarity_deviation,
 )
 
@@ -60,10 +59,6 @@ def test_apply_dim_mismatch():
 
 
 def test_probability_and_clamp():
-    s = normalized([1, -1, -1, -3], ("a", "b", "c", "d"))
-    assert abs(probability(s, 0) - 1 / 12) < ABS_TOL
-    with pytest.raises(IndexError):
-        probability(s, 4)
     assert tensor.clamp_probability(-1e-16) == 0.0
     with pytest.raises(ValueError):
         tensor.clamp_probability(-1e-9)
