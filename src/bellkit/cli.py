@@ -11,7 +11,8 @@ calls in the same process; BELLKIT_SEED is still read on every call.
 
 Each scenario is one function in the SCENARIOS table, in report order, that
 computes its numbers once into one RunReport: the JSON fields, the two table
-cells and the `lhvt` lines; grid30, grid120 and electron share one builder.
+cells and the `lhvt` lines; grid30, grid120 and electron share one builder,
+which reads each row's name, bound and quoted setting from its lhvt scenario.
 Each verdict reads the bounds its row prints, and the Hardy and GHZ settings
 come from experiments' case tables.  Only chsh takes --angles and --mc-trials.
 Input is checked at the edge, before any output: argparse types reject
@@ -40,10 +41,6 @@ CONSISTENT = "consistent"
 
 
 class UsageError(Exception):
-    pass
-
-
-class InternalCheckError(Exception):
     pass
 
 
@@ -218,7 +215,7 @@ def cmd_rotate(args) -> int:
             if pdev > tensor.TOL_UNITARY:
                 failures.append("pair construction")
         if failures:
-            raise InternalCheckError("failed checks: " + ", ".join(failures))
+            raise RuntimeError("failed checks: " + ", ".join(failures))
     return 0
 
 
@@ -271,21 +268,25 @@ def _against_bound(name, key, quantum, bound, classical, lines) -> RunReport:
     )
 
 
-def _pair(name, description, bound, figure, distribution, delta, *extra) -> RunReport:
-    """A two-party row: bound against the figure ("agreement" or "antiparallel")
-    of distribution at (0, delta deg); extra lines go after the bound line."""
-    quantum = getattr(distribution(0.0, math.radians(delta)), figure)()
+def _pair(spec, figure, direction, description, distribution, *extra) -> RunReport:
+    """A two-party row named spec.name: spec's direction bound on the figure
+    ("agreement" or "antiparallel") against that figure of distribution at the
+    quoted setting, spec's first run; extra lines go after the bound line."""
+    bound = lhvt._pair_bound(spec, figure, direction)
+    first, second = spec.runs[0]
+    delta = second - first
+    quantum = getattr(distribution(math.radians(first), math.radians(second)), figure)()
     classical = {
         "strategy_count": bound.strategy_count,
         "optimizer_count": len(bound.optimizers),
         "optimizers": [card_string(t) for t in bound.optimizers],
     }
-    return _against_bound(name, f"{figure}_delta{delta}", quantum, bound, classical, (
-        f"scenario {name}: {description}",
+    return _against_bound(spec.name, f"{figure}_delta{delta:g}", quantum, bound, classical, (
+        f"scenario {spec.name}: {description}",
         f"strategies: {bound.strategy_count}",
         _bound_line(figure, bound),
         *extra,
-        f"quantum {figure} at delta={delta}deg: {_fmt(quantum)}",
+        f"quantum {figure} at delta={delta:g}deg: {_fmt(quantum)}",
     ))
 
 
@@ -293,17 +294,17 @@ def _grid30() -> RunReport:
     spec = lhvt.grid30_scenario()
     low = lhvt._pair_bound(spec, "agreement", "min")
     return _pair(
-        "grid30", "shared card, 12 settings, second analyzer +30deg",
-        lhvt._pair_bound(spec, "agreement", "max"), "agreement",
-        experiments.entangled_pair_distribution, 30,
+        spec, "agreement", "max", "shared card, 12 settings, second analyzer +30deg",
+        experiments.entangled_pair_distribution,
         f"zero-agreement cards: {len(low.optimizers) if low.value == 0 else 0}",
     )
 
 
 def _grid120() -> RunReport:
     return _pair(
-        "grid120", "shared card on {0,120,240}, analyzers 120deg apart",
-        lhvt.min_agreement_120grid(), "agreement", experiments.entangled_pair_distribution, 120,
+        lhvt.grid120_scenario(), "agreement", "min",
+        "shared card on {0,120,240}, analyzers 120deg apart",
+        experiments.entangled_pair_distribution,
     )
 
 
@@ -354,9 +355,9 @@ def _ghz() -> RunReport:
 
 def _electron() -> RunReport:
     return _pair(
-        "electron", "opposite cards on {0,120,240}, unequal settings scored",
-        lhvt.min_antiparallel_electron(), "antiparallel",
-        experiments.electron_singlet_distribution, 120,
+        lhvt.electron_scenario(), "antiparallel", "min",
+        "opposite cards on {0,120,240}, unequal settings scored",
+        experiments.electron_singlet_distribution,
     )
 
 
@@ -389,7 +390,7 @@ def _chsh(angles=None, mc_trials: int = 0, seed: int = 0) -> RunReport:
         est = lhvt.monte_carlo_mixture(classical.scenario, [1.0 / n] * n, mc_trials, seed)
         lines.append(f"monte carlo, uniform mixture, {mc_trials} trials, seed {seed}")
         for run, count, mean, se, exact in zip(
-            est.runs, est.counts, est.means, est.std_errors, est.exact
+            classical.scenario.runs, est.counts, est.means, est.std_errors, est.exact
         ):
             sampled = (
                 f"mean {_fmt(mean)} (se {_fmt(se)}, n={count})"
@@ -575,7 +576,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"bellkit: error: {exc}", file=sys.stderr)
         return 1
-    except (InternalCheckError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"bellkit: internal check failed: {exc}", file=sys.stderr)
         return 2
 

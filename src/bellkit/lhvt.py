@@ -93,7 +93,6 @@ class ScenarioSpec:
     opposite: bool = False
     flip_90: bool = False
     run_index: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _index: tuple[dict[float, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parties < 1 or len(self.settings) != self.parties:
@@ -110,22 +109,17 @@ class ScenarioSpec:
         for p, angles in enumerate(self.settings):
             if len(index[p]) != len(angles):
                 raise ValueError(f"party {p + 1} settings {angles} repeat an angle")
-        object.__setattr__(self, "_index", index)
         for run in self.runs:
             if len(run) != self.parties:
                 raise ValueError(f"run {run} does not name one angle per party")
         if not self.runs:
             raise ValueError("a scenario needs at least one run")
-        run_index = tuple(
-            tuple(self.setting_index(p, angle) for p, angle in enumerate(run)) for run in self.runs
-        )
+        for run in self.runs:
+            for p, angle in enumerate(run):
+                if angle not in index[p]:
+                    raise ValueError(f"run angle {angle} not among party {p + 1} settings")
+        run_index = tuple(tuple(map(getitem, index, run)) for run in self.runs)
         object.__setattr__(self, "run_index", run_index)
-
-    def setting_index(self, party: int, angle: float) -> int:
-        try:
-            return self._index[party][angle]
-        except KeyError:
-            raise ValueError(f"run angle {angle} not among party {party + 1} settings") from None
 
 
 @dataclass(frozen=True)
@@ -490,9 +484,9 @@ def _run_products(spec: ScenarioSpec, cards: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixtureEstimate:
-    """Sampled per-run outcome products against their exact mixture values."""
+    """Sampled per-run outcome products against their exact mixture values,
+    one entry per run of the sampled scenario, in its run order."""
 
-    runs: tuple[tuple[float, ...], ...]
     counts: tuple[int, ...]
     means: tuple[float, ...]
     std_errors: tuple[float, ...]
@@ -541,7 +535,7 @@ def monte_carlo_mixture(
         errors.append(float(sel.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan)
     exact = w @ products
     return MixtureEstimate(
-        spec.runs, tuple(counts), tuple(means), tuple(errors), tuple(float(x) for x in exact)
+        tuple(counts), tuple(means), tuple(errors), tuple(float(x) for x in exact)
     )
 
 

@@ -77,9 +77,15 @@ def unitary_axis_angle(n, theta: float) -> MatrixOperator:
 
 def unitary_exp(n, theta: float) -> MatrixOperator:
     """exp[i (theta/2) n . sigma] summed as a power series, until a term's
-    largest entry falls below 1e-17 (at most 60 terms)."""
+    largest entry falls below 1e-17 (at most 60 terms), at theta reduced by
+    the period 4 pi into [-2 pi, 2 pi].  math.remainder is exact and keeps
+    |theta| <= 2 pi as given; the float 4 pi is not, so the result drifts by
+    up to about |theta| * 2^-52 (2e-11 at theta = 1e6).  A non-finite theta
+    raises ValueError."""
     v = _unit_axis(n)
-    a = 0.5j * theta * sigma_dot(v).entries
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta!r}")
+    a = 0.5j * math.remainder(theta, 4 * math.pi) * sigma_dot(v).entries
     acc = np.eye(2, dtype=complex)
     term = np.eye(2, dtype=complex)
     for k in range(1, 60):
@@ -149,8 +155,8 @@ def _euler_family(axis: str, eps: float) -> EulerAngles:
 
 @dataclass(frozen=True)
 class GeneratorResult:
-    numeric: MatrixOperator
-    closed_form: MatrixOperator
+    """Largest entry deviation of the extracted generator from the closed form."""
+
     deviation: float
 
 
@@ -175,7 +181,7 @@ def generator_from_rotation(axis: str, spin: str) -> GeneratorResult:
 
     numeric = 2.0 * g(eps2) - g(eps1)
     deviation = float(np.max(np.abs(numeric - closed.entries)))
-    return GeneratorResult(MatrixOperator(numeric), closed, deviation)
+    return GeneratorResult(deviation)
 
 
 def euler_rotation_spin1(e: EulerAngles) -> MatrixOperator:
@@ -278,10 +284,6 @@ class CoupledEigenstate:
     state: StateVector
     j: float
     jz: float
-
-    @property
-    def j2(self) -> float:
-        return self.j * (self.j + 1.0)
 
 
 def coupled_eigenstates() -> tuple[CoupledEigenstate, ...]:

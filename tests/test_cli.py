@@ -533,6 +533,20 @@ def test_report_numbers_come_from_the_library(monkeypatch, capsys):
     assert data["scenarios"]["hardy"]["verdict"] == "violation"
 
 
+def test_pair_rows_read_name_and_quoted_run_from_their_scenario(monkeypatch, capsys):
+    # the row's name, bound and quoted delta all come from its ScenarioSpec, so
+    # a different spec changes every one of them
+    angles = (0.0, 45.0, 90.0, 135.0)
+    spec = lhvt.ScenarioSpec("grid120", 2, (angles, angles), tuple(zip(angles, angles[1:])),
+                             identical=True)
+    monkeypatch.setattr(lhvt, "grid120_scenario", lambda: spec)
+    assert run_cli("lhvt", "--scenario", "grid120") == 0
+    assert "quantum agreement at delta=45deg: 0.500000\n" in capsys.readouterr().out
+    assert run_cli("report", "--all", "--format", "json") == 0
+    quantum = json.loads(capsys.readouterr().out)["scenarios"]["grid120"]["quantum"]
+    assert quantum == {"agreement_delta45": pytest.approx(0.5)}
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         cli.main(["pair", "--bogus-flag"])

@@ -15,7 +15,7 @@ SEED = 20260823
 
 def run_outcomes(spec, strategy, run) -> tuple[int, ...]:
     """Each party's card answer for one joint setting, read one strategy at a time."""
-    return tuple(strategy[p][spec.setting_index(p, a)] for p, a in enumerate(run))
+    return tuple(strategy[p][spec.settings[p].index(a)] for p, a in enumerate(run))
 
 
 def test_enumeration_order_and_count():
@@ -72,7 +72,7 @@ def test_flip_rule_invariant_on_30_grid():
         for p in range(spec.parties):
             for angle in spec.settings[p]:
                 partner = (angle + 90.0) % 360.0
-                k, kp = spec.setting_index(p, angle), spec.setting_index(p, partner)
+                k, kp = spec.settings[p].index(angle), spec.settings[p].index(partner)
                 assert t[p][kp] == -t[p][k]
 
 
@@ -296,7 +296,7 @@ def test_ghz_forbidden_outcomes_are_the_wrong_parity(case):
 def test_ghz_after_case_a_parity():
     spec = lhvt.ghz_scenario()
     for t in lhvt.ghz_elimination_stages().after_case_a:
-        zero_deg = [t[p][spec.setting_index(p, 0.0)] for p in range(3)]
+        zero_deg = [t[p][spec.settings[p].index(0.0)] for p in range(3)]
         assert zero_deg.count(PASS) % 2 == 0
 
 

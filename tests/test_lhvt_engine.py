@@ -115,7 +115,7 @@ def reference_monte_carlo(spec, products, w, trials, rng_seed) -> lhvt.MixtureEs
             errors.append(float(sel.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan)
     exact = w @ products
     return lhvt.MixtureEstimate(
-        spec.runs, tuple(counts), tuple(means), tuple(errors), tuple(float(x) for x in exact)
+        tuple(counts), tuple(means), tuple(errors), tuple(float(x) for x in exact)
     )
 
 
