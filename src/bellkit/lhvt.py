@@ -24,9 +24,9 @@ run as that joint outcome's row in the run's distribution, and look it up in
 one boolean table of the quantum zeros; Hardy's pass/pass is row 0.  A
 strategy is a plain tuple with one tuple of +/-1 answers per party, in that
 party's setting order (Strategy).  Strategies are built only for what a
-result lists: a bound's optimizers, the Hardy and GHZ stages,
-enumerate_strategies, and the ones agreement_fraction and
-antiparallel_fraction score one at a time (_extremize).  At most
+result lists: a bound's optimizers and the Hardy and GHZ stages, row by row
+(_tables), and the whole space (enumerate_strategies, which _extremize
+scores), one column per party of answer tuples each built once.  At most
 MAX_STRATEGIES = 2**16 strategies are enumerated; larger spaces are refused
 before any array is allocated.
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 from operator import getitem
 
 import numpy as np
@@ -55,8 +55,8 @@ PASS, STOP = 1, -1
 # Hard ceiling on exhaustive enumeration, checked before anything is allocated.
 # Two parties with eight settings each (2^16 strategies), scored by agreement
 # over all 64 runs, take about 10 ms of CPU time for the array bound the CLI
-# uses (_pair_bound), 130-155 ms to build every strategy tuple
-# (enumerate_strategies) and 1.9-2.4 s to score them one at a time (_extremize),
+# uses (_pair_bound), 9-15 ms to build every strategy tuple
+# (enumerate_strategies) and 1.9-2.5 s to score them one at a time (_extremize),
 # best of several runs (2-CPU Intel Xeon, Python 3.11, numpy 2.4).
 MAX_STRATEGIES = 2**16
 
@@ -202,8 +202,28 @@ def _tables(spec: ScenarioSpec, cards: np.ndarray) -> list[Strategy]:
 
 def enumerate_strategies(spec: ScenarioSpec) -> list[Strategy]:
     """All strategies consistent with the scenario's constraints, in a fixed
-    lexicographic order (party-major, setting-minor, +1 before -1)."""
-    return _tables(spec, _cards(spec))
+    lexicographic order (party-major, setting-minor, +1 before -1).
+
+    The same list as _tables(spec, _cards(spec)), built one party at a time:
+    a party's answers read only its free slots, one bit field of the strategy
+    number, so its 2^width answer tuples are read once, from the card rows
+    that set only that field, and repeated over the rows that share them.
+    Parties with the same slots and signs (identical cards) share one column."""
+    cards = _cards(spec)
+    slots, signs, free = _card_columns(spec)
+    bounds = _column_offsets(spec) + [len(slots)]
+    columns, parties = {}, []
+    for lo, hi in zip(bounds, bounds[1:]):
+        plan = tuple(slots[lo:hi]), tuple(signs[lo:hi])
+        if plan not in columns:
+            first, last = min(plan[0]), max(plan[0])
+            shift = free - 1 - last
+            rows = np.arange(2 ** (last - first + 1)) << shift
+            answers = map(tuple, cards[rows, lo:hi].tolist())
+            column = list(chain.from_iterable(repeat(a, 1 << shift) for a in answers))
+            columns[plan] = column * (len(cards) // len(column))
+        parties.append(columns[plan])
+    return list(zip(*parties))
 
 
 def _agreements(spec: ScenarioSpec, strategy: Strategy) -> int:

@@ -68,8 +68,11 @@ def _unit_axis(n) -> np.ndarray:
 
 
 def unitary_axis_angle(n, theta: float) -> MatrixOperator:
-    """cos(theta/2) I + i sin(theta/2) (n . sigma) for a unit axis n."""
+    """cos(theta/2) I + i sin(theta/2) (n . sigma) for a unit axis n.  A
+    non-finite theta raises ValueError."""
     v = _unit_axis(n)
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta!r}")
     return MatrixOperator(
         math.cos(theta / 2) * np.eye(2) + 1j * math.sin(theta / 2) * sigma_dot(v).entries
     )

@@ -167,7 +167,11 @@ def test_engine_matches_loop_enumerator(index):
     spec = SPECS[index]
     r = random.Random(SEED + index)
     tables = reference_strategies(spec)
-    assert lhvt.enumerate_strategies(spec) == tables
+    strategies = lhvt.enumerate_strategies(spec)
+    assert strategies == tables
+    # the per-party build lists what the row builder decodes, as Python ints
+    assert strategies == lhvt._tables(spec, lhvt._cards(spec))
+    assert all(type(a) is int for t in strategies for answers in t for a in answers)
 
     products = reference_products(spec, tables)
     engine_products = lhvt._run_products(spec, lhvt._cards(spec))
@@ -219,6 +223,19 @@ def test_outcome_rows_index_the_distribution_rows(index):
     assert len(rows) == len(tables)
     for t, row in zip(tables, rows):
         assert row == [order.index(reference_run_outcomes(spec, t, run)) for run in spec.runs]
+
+
+@pytest.mark.parametrize("index", range(len(SPECS)))
+def test_each_party_shares_its_answer_tuples(index):
+    # a party with k free slots has 2^k answer tuples, each one object however
+    # many strategies hold it; identical cards are the same objects
+    spec = SPECS[index]
+    strategies = lhvt.enumerate_strategies(spec)
+    for p, angles in enumerate(spec.settings):
+        free = reference_plan(angles, spec.flip_90)[1]
+        assert len({id(t[p]) for t in strategies}) == 2**free
+    if spec.identical:
+        assert all(t[p] is t[0] for t in strategies for p in range(spec.parties))
 
 
 # --- the sampler against Generator.choice and per-run masks -------------------
@@ -409,3 +426,16 @@ def test_pair_bound_at_the_enumeration_ceiling():
         assert type(bound.value) is Fraction and bound.value == value
         assert bound.optimizers == optimizers
         assert bound.strategy_count == lhvt.MAX_STRATEGIES == 2**16
+
+
+_SIXTEEN = tuple(float(k) for k in range(16))
+
+
+@pytest.mark.parametrize("spec", [
+    CEILING,
+    lhvt.ScenarioSpec("ceiling-identical", 2, (_SIXTEEN, _SIXTEEN), ((0.0, 1.0),), identical=True),
+], ids=["independent", "identical"])
+def test_enumerate_strategies_at_the_enumeration_ceiling(spec):
+    strategies = lhvt.enumerate_strategies(spec)
+    assert len(strategies) == lhvt.MAX_STRATEGIES
+    assert strategies == lhvt._tables(spec, lhvt._cards(spec))

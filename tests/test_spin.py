@@ -102,12 +102,18 @@ def test_input_checks_raise(build, message):
     lambda: spin.rotate_vector((0.0, -math.inf, 0.0), Z, 0.3),
     lambda: spin.rotate_vector(X, Z, math.nan),
     lambda: spin.rotate_vector(X, Z, math.inf),
+    lambda: spin.unitary_axis_angle(Z, math.inf),
+    lambda: spin.unitary_axis_angle(Z, -math.inf),
+    lambda: spin.unitary_axis_angle(Z, math.nan),
 ], ids=[
     "euler-theta-nan", "euler-phi-inf", "euler-chi-minus-inf",
     "rotate-vector-nan", "rotate-vector-minus-inf", "rotate-angle-nan", "rotate-angle-inf",
+    "axis-angle-inf", "axis-angle-minus-inf", "axis-angle-nan",
 ])
 def test_non_finite_rotation_input_is_refused(build):
-    with pytest.raises(ValueError, match="finite"):
+    # the message names the angle or vector, not a later symptom such as
+    # "math domain error" or "amplitudes must be finite"
+    with pytest.raises(ValueError, match="non-finite angle|angle .*must be finite"):
         build()
 
 
