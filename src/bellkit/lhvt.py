@@ -32,10 +32,12 @@ before any array is allocated.
 
 The Monte-Carlo sampler reads the generator exactly as
 Generator.choice(strategies, trials, p=weights) and then
-Generator.integers(0, runs, trials) do, so each seed gives the same draws.  A
-strategy is read from its uniform as floor(u * strategies) when the weights
-are uniform, and by binary search otherwise; each run's draws are grouped by
-one stable radix sort.
+Generator.integers(0, runs, trials) do, so each seed gives the same draws,
+though it reads each stream in fixed-size blocks.  A strategy is read from its
+uniform as floor(u * strategies) when the weights are uniform, and by binary
+search otherwise, into the smallest unsigned dtype that holds it; each block's
+int8 outcome products are grouped by run with one stable radix sort, so no
+array of 8 bytes per trial is held unless one run gets every trial.
 """
 
 from __future__ import annotations
@@ -60,9 +62,14 @@ PASS, STOP = 1, -1
 # best of several runs (2-CPU Intel Xeon, Python 3.11, numpy 2.4).
 MAX_STRATEGIES = 2**16
 
-# Hard ceiling on Monte-Carlo trials: the sampler holds a few arrays of this
-# length, so memory stays bounded whatever the caller asks for.
+# Hard ceiling on Monte-Carlo trials, so memory stays bounded whatever the
+# caller asks for.  At this count a uniform CHSH mixture peaks at 6-7 traced
+# bytes per trial: a strategy index and an int8 product per trial, plus one
+# run's products as floats.
 MAX_MC_TRIALS = 1_000_000
+
+# The Monte-Carlo sampler reads the generator this many trials at a time.
+_MC_BLOCK = 2**14
 
 # A quantum probability at or below this is treated as an exact zero constraint.
 ZERO_TOL = 1e-12
@@ -520,14 +527,15 @@ def monte_carlo_mixture(
     setting choices; exact enumeration stays the source of truth, this is the
     finite-statistics view of it.
 
-    The generator is read once as random(trials), then once as
-    integers(0, runs, trials): the stream of Generator.choice(strategies,
-    trials, p=w) followed by that integers call.  _draw turns each uniform
-    into the strategy choice draws from it, as floor(u * strategies) for a
-    uniform mixture and by binary search otherwise, so a seed gives the same
-    estimate as those two calls.  Each run's draws are one contiguous slice
-    of a stable sort by run, so they stay in draw order, and their mean and
-    standard error have the bits a boolean mask per run would give.
+    The generator is read as random(trials), then as integers(0, runs,
+    trials), _MC_BLOCK trials at a time: the stream of
+    Generator.choice(strategies, trials, p=w) followed by that integers call.
+    _draw turns each block of uniforms into the strategies choice draws from
+    them, as floor(u * strategies) for a uniform mixture and by binary search
+    otherwise, so a seed gives the same estimate as those two calls.  In each
+    block a run's draws are one slice of a stable sort by run, and a run's
+    slices are joined in draw order, so its mean and standard error have the
+    bits a boolean mask per run would give.
     """
     if not 1 <= trials <= MAX_MC_TRIALS:
         raise ValueError(f"trials must be between 1 and {MAX_MC_TRIALS}; got {trials}")
@@ -536,23 +544,36 @@ def monte_carlo_mixture(
     runs = len(spec.runs)
 
     rng = np.random.default_rng(rng_seed)
-    strat = _draw(w, rng.random(trials))
-    run_idx = rng.integers(0, runs, size=trials)
-    # strat becomes the flat index into products in place: at 10^5 trials a
-    # fresh array of that size costs more in page faults than the arithmetic.
-    strat *= runs
-    strat += run_idx
-    values = products.take(strat)
+    sizes = [min(_MC_BLOCK, trials - i) for i in range(0, trials, _MC_BLOCK)]
+    strat = [_draw(w, rng.random(size)) for size in sizes]
+    run_type = np.min_scalar_type(runs - 1)
+    pieces = [[] for _ in range(runs)]
+    for block in strat:
+        run_idx = rng.integers(0, runs, size=len(block))
+        values = products.take(block.astype(np.intp) * runs + run_idx)
+        # A stable sort on the smallest unsigned dtype is numpy's radix sort,
+        # so each run's slice stays in draw order.
+        by_run = values[np.argsort(run_idx.astype(run_type), kind="stable")]
+        ends = np.bincount(run_idx, minlength=runs).cumsum().tolist()
+        for piece, start, end in zip(pieces, [0] + ends, ends):
+            piece.append(by_run[start:end])
 
-    # A stable sort on the smallest unsigned dtype is numpy's radix sort.
-    order = np.argsort(run_idx.astype(np.min_scalar_type(runs - 1)), kind="stable")
-    by_run = values[order]
-    counts = np.bincount(run_idx, minlength=runs).tolist()
-    means, errors = [], []
-    for start, n in zip(accumulate(counts, initial=0), counts):
-        sel = by_run[start : start + n].astype(float)
-        means.append(float(sel.mean()) if n else math.nan)
-        errors.append(float(sel.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan)
+    counts, means, errors = [], [], []
+    for piece in pieces:
+        dev = np.concatenate(piece).astype(float)
+        n = len(dev)
+        counts.append(n)
+        mean = float(dev.mean()) if n else math.nan
+        means.append(mean)
+        if n < 2:
+            errors.append(math.nan)
+            continue
+        # ndarray.std(ddof=1) in place: the same differences from the same
+        # mean, squared and summed pairwise in draw order, so the same bits
+        # without a second float array of the run's length.
+        dev -= mean
+        dev *= dev
+        errors.append(math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
     exact = w @ products
     return MixtureEstimate(
         tuple(counts), tuple(means), tuple(errors), tuple(float(x) for x in exact)
@@ -566,11 +587,12 @@ def _draw(w: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Every strategy count n is a power of two, so weights that all equal 1/n
     have the exact cdf k/n and the count is floor(u * n); any other weights
-    are binary-searched.
+    are binary-searched.  The indices are of the smallest unsigned dtype.
     """
     n = len(w)
+    dtype = np.min_scalar_type(n - 1)
     if (w == 1.0 / n).all():
-        return (u * n).astype(np.intp)
+        return (u * n).astype(dtype)
     cdf = w.cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(u, "right")
+    return cdf.searchsorted(u, "right").astype(dtype)

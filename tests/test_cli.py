@@ -66,6 +66,7 @@ TEXT_GOLDENS = {
     **{f"lhvt_{s}": ("lhvt", "--scenario", s)
        for s in ("grid30", "grid120", "electron", "hardy", "ghz", "chsh")},
     "lhvt_chsh_mc1000_seed3": ("lhvt", "--scenario", "chsh", "--mc-trials", "1000", "--seed", "3"),
+    "lhvt_chsh_mc100000_seed5": ("lhvt", "--scenario", "chsh", "--mc-trials", "100000", "--seed", "5"),
     "report_all": ("report", "--all"),
     "pair_30_0": ("pair", "--theta1", "30", "--theta2", "0"),
     "poincare_06_08": ("poincare", "--alpha-x", ".6", "--alpha-y", ".8"),

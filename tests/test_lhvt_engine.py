@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,11 @@ CHSH = lhvt.chsh_scenario(0.0, 45.0, 22.5, 67.5)
 _EIGHT = tuple(float(k) for k in range(8))
 # 2^16 strategies over 8 runs: at 10^3 trials far fewer draws than cdf values
 CEILING = lhvt.ScenarioSpec("ceiling", 2, (_EIGHT, _EIGHT), tuple(zip(_EIGHT, _EIGHT[::-1])))
+# three runs: integers(0, 3) rejects some 32-bit draws, so a block edge that
+# split its stream would show
+THREE_RUNS = lhvt.ScenarioSpec(
+    "three-runs", 2, ((0.0, 1.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+)
 
 
 def dirichlet(n, seed, zeros=False):
@@ -272,7 +278,15 @@ SAMPLER_CASES = {
     "two-trials": (CHSH, np.full(16, 1 / 16), 2),
     "ceiling-2^16-1e3": (CEILING, dirichlet(2**16, 5), 1000),
     "ceiling-2^16-zeros": (CEILING, dirichlet(2**16, 6, zeros=True), 1000),
+    "three-runs-3-blocks": (THREE_RUNS, dirichlet(16, 7), 3 * lhvt._MC_BLOCK + 1000),
+    "uniform-max-trials": (CHSH, np.full(16, 1 / 16), lhvt.MAX_MC_TRIALS),
 }
+
+
+def test_sampler_cases_span_several_blocks():
+    blocks = {name: -(-trials // lhvt._MC_BLOCK) for name, (_, _, trials) in SAMPLER_CASES.items()}
+    assert blocks["uniform-1e5"] > 1 and blocks["dirichlet-1e5"] > 1
+    assert blocks["three-runs-3-blocks"] > 3
 
 
 @pytest.mark.parametrize("name", SAMPLER_CASES)
@@ -286,6 +300,17 @@ def test_sampler_matches_choice_and_masks(name):
     # a run with no draw has no mean, and one with fewer than two no error
     assert [math.isnan(m) for m in got.means] == [n == 0 for n in got.counts]
     assert [math.isnan(e) for e in got.std_errors] == [n < 2 for n in got.counts]
+
+
+def test_sampler_memory_per_trial():
+    w = np.full(16, 1 / 16)
+    tracemalloc.start()
+    try:
+        lhvt.monte_carlo_mixture(CHSH, w, lhvt.MAX_MC_TRIALS, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * lhvt.MAX_MC_TRIALS
 
 
 # sums to 1 within _checked_weights' tolerance
